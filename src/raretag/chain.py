@@ -86,17 +86,26 @@ def forward_backward(
     betas = backward_log_betas(scores, transitions)
     log_z = float(logsumexp(alphas[-1], axis=0))
     unary = np.exp(alphas + betas - log_z)
-    T = scores.shape[0]
-    pairwise = np.empty((max(T - 1, 0), scores.shape[1], scores.shape[1]))
-    for t in range(T - 1):
-        log_pair = (
-            alphas[t][:, None]
-            + transitions
-            + (scores[t + 1] + betas[t + 1])[None, :]
-            - log_z
-        )
-        pairwise[t] = np.exp(log_pair)
+    pairwise = np.exp(
+        alphas[:-1, :, None]
+        + transitions
+        + (scores[1:] + betas[1:])[:, None, :]
+        - log_z
+    )
     return log_z, unary, pairwise
+
+
+def nll_and_gradients(
+    scores: np.ndarray, transitions: np.ndarray, gold: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """(-log p(gold), its gradient wrt scores [T, L], wrt transitions [L, L]):
+    marginals minus the gold one-hots and transition counts."""
+    log_z, unary, pairwise = forward_backward(scores, transitions)
+    nll = log_z - sequence_score(scores, transitions, gold)
+    unary[np.arange(len(gold)), gold] -= 1.0
+    d_trans = pairwise.sum(axis=0)
+    np.add.at(d_trans, (gold[:-1], gold[1:]), -1.0)
+    return nll, unary, d_trans
 
 
 def viterbi(

@@ -18,7 +18,8 @@ from pathlib import Path
 
 from . import brat, conll, crf, embeddings, iob, metrics, model_io, neural, synthetic
 from .iob import TaggedSentence
-from .tokenizer import Sentence
+from .lbfgs import LineSearchError
+from .tokenizer import Sentence, tokenize_document
 
 CONFIG_DIR_ENV = "RARETAG_CONFIG_DIR"
 
@@ -198,8 +199,6 @@ def cmd_convert(args) -> int:
         resolved = brat.resolve_overlaps(doc)
         dropped += len(resolved.resolution_log) - len(doc.resolution_log)
         discontinuous += sum(1 for e in resolved.entities if e.is_discontinuous())
-        from .tokenizer import tokenize_document
-
         for sentence in tokenize_document(resolved.text):
             tagged = iob.encode(sentence, resolved.entities)
             out_items.append(
@@ -462,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, brat.BratParseError, brat.BratIntegrityError,
             conll.ConllParseError, metrics.EvalError,
             model_io.ModelFormatError, embeddings.EmbeddingParseError,
-            FileNotFoundError, ValueError) as err:
+            LineSearchError, FloatingPointError, FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

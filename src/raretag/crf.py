@@ -35,6 +35,15 @@ class TrainConfig:
             raise ValueError("invalid iteration/memory settings")
 
 
+def _state_scores(weights: np.ndarray, indexed: list[np.ndarray]) -> np.ndarray:
+    """[T, L] scores: each token's active feature rows, summed."""
+    scores = np.zeros((len(indexed), weights.shape[1]))
+    for t, idx in enumerate(indexed):
+        if idx.size:
+            scores[t] = weights[idx].sum(axis=0)
+    return scores
+
+
 @dataclass
 class CrfModel:
     label_set: list[str]
@@ -67,11 +76,7 @@ class CrfModel:
         ]
 
     def state_scores(self, indexed: list[np.ndarray]) -> np.ndarray:
-        scores = np.zeros((len(indexed), len(self.label_set)))
-        for t, idx in enumerate(indexed):
-            if idx.size:
-                scores[t] = self.state_weights[idx].sum(axis=0)
-        return scores
+        return _state_scores(self.state_weights, indexed)
 
 
 def make_zero_model(
@@ -120,20 +125,13 @@ def _batch_nll_grad(
     grad_trans = np.zeros_like(trans)
     nll = 0.0
     for indexed, gold in indexed_batch:
-        scores = np.zeros((len(indexed), L))
+        scores = _state_scores(state, indexed)
+        value, d_scores, d_trans = chain.nll_and_gradients(scores, trans, gold)
+        nll += value
         for t, idx in enumerate(indexed):
             if idx.size:
-                scores[t] = state[idx].sum(axis=0)
-        log_z, unary, pairwise = chain.forward_backward(scores, trans)
-        nll += log_z - chain.sequence_score(scores, trans, gold)
-        expected = unary.copy()
-        expected[np.arange(len(gold)), gold] -= 1.0
-        for t, idx in enumerate(indexed):
-            if idx.size:
-                np.add.at(grad_state, idx, expected[t])
-        if len(gold) > 1:
-            grad_trans += pairwise.sum(axis=0)
-            np.add.at(grad_trans, (gold[:-1], gold[1:]), -1.0)
+                np.add.at(grad_state, idx, d_scores[t])
+        grad_trans += d_trans
     value = nll + 0.5 * l2 * float(np.dot(w, w))
     grad = _flatten(grad_state, grad_trans) + l2 * w
     return value, grad
@@ -256,6 +254,16 @@ def iob_decode_masks(label_set: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return start, trans
 
 
+def decode(scores: np.ndarray, transitions: np.ndarray, label_set: list[str],
+           constrained: bool = False) -> list[str]:
+    """Viterbi labels for [T, L] scores, optionally restricted to IOB2."""
+    start_mask = trans_mask = None
+    if constrained:
+        start_mask, trans_mask = iob_decode_masks(label_set)
+    path = chain.viterbi(scores, transitions, start_mask, trans_mask)
+    return [label_set[i] for i in path]
+
+
 def viterbi(
     model: CrfModel, token_features: list[list[str]], constrained: bool = False
 ) -> list[str]:
@@ -263,13 +271,7 @@ def viterbi(
     if not token_features:
         raise ValueError("cannot decode an empty sentence")
     scores = model.state_scores(model.index_tokens(token_features))
-    start_mask = trans_mask = None
-    if constrained:
-        start_mask, trans_mask = iob_decode_masks(model.label_set)
-    path = chain.viterbi(
-        scores, model.transition_weights, start_mask, trans_mask
-    )
-    return [model.label_set[i] for i in path]
+    return decode(scores, model.transition_weights, model.label_set, constrained)
 
 
 def predict_tags(

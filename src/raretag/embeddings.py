@@ -53,9 +53,6 @@ class EmbeddingTable:
                 f"({len(self.vocab)}, {self.dim})"
             )
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.vocab or word.lower() in self.vocab
-
     def _oov_vector(self, word: str) -> np.ndarray:
         if self.oov_policy == "zeros":
             return np.zeros(self.dim)

@@ -21,8 +21,6 @@ TAGS: list[str] = [OUTSIDE] + [
     f"{prefix}-{etype.value}" for etype in EntityType for prefix in ("B", "I")
 ]
 
-TAG_INDEX: dict[str, int] = {tag: i for i, tag in enumerate(TAGS)}
-
 
 class IobError(ValueError):
     pass
@@ -36,10 +34,6 @@ def tag_parts(tag: str) -> tuple[str | None, str | None]:
     if prefix not in ("B", "I") or not name:
         raise IobError(f"malformed tag {tag!r}")
     return prefix, name
-
-
-def is_known_tag(tag: str) -> bool:
-    return tag in TAG_INDEX
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,6 @@ from .brat import EntityType
 TOKEN = "token"
 ENTITY = "entity"
 
-AVERAGE_ROWS = ("micro-avg", "macro-avg", "macro-weighted")
-
 
 class EvalError(ValueError):
     pass

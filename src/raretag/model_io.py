@@ -11,6 +11,7 @@ leaves a partial model behind.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -62,22 +63,29 @@ def _pack(kind: str, meta: dict, arrays: list[tuple[str, np.ndarray]]) -> bytes:
 def _unpack(data: bytes) -> tuple[str, dict, dict[str, np.ndarray]]:
     if data[: len(MAGIC)] != MAGIC:
         raise ModelFormatError("not a raretag model file (bad magic bytes)")
-    offset = len(MAGIC)
-    (version,) = struct.unpack_from("<I", data, offset)
-    offset += 4
+    offset = len(MAGIC) + 12
+    if len(data) < offset:
+        raise ModelFormatError("truncated model file: short header")
+    version, header_len = struct.unpack_from("<IQ", data, len(MAGIC))
     if version != VERSION:
         raise ModelFormatError(f"unsupported model format version {version}")
-    (header_len,) = struct.unpack_from("<Q", data, offset)
-    offset += 8
-    header = json.loads(data[offset : offset + header_len].decode("utf-8"))
+    if len(data) - offset < header_len:
+        raise ModelFormatError("truncated model file: incomplete header")
+    try:
+        header = json.loads(data[offset : offset + header_len].decode("utf-8"))
+        kind, meta = header["kind"], header["meta"]
+        shapes = [(e["name"], [int(d) for d in e["shape"]]) for e in header["arrays"]]
+    except (ValueError, KeyError, TypeError) as err:
+        raise ModelFormatError(f"corrupt model header: {err}") from None
     offset += header_len
     arrays = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for name, shape in shapes:
+        count = math.prod(shape)
+        if min(shape, default=0) < 0 or len(data) - offset < 8 * count:
+            raise ModelFormatError(f"array {name!r}: bad shape or truncated payload")
         raw = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-        arrays[entry["name"]] = raw.reshape(shape).astype(np.float64)
-        offset += count * 8
+        arrays[name] = raw.reshape(shape).astype(np.float64)
+        offset += 8 * count
     if offset != len(data):
         raise ModelFormatError("trailing bytes after weight payload")
     return header["kind"], header["meta"], arrays

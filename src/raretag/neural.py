@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chain
-from .crf import iob_decode_masks
+from .crf import decode
 from .embeddings import EmbeddingTable
 from .iob import TAGS, TaggedSentence
 from .lstm import LstmCell, backprop_sequence, run_sequence
@@ -39,7 +39,6 @@ class FitConfig:
     hidden_dim: int = 100
     seed: int = 0
     gradient_clip_norm: float = 5.0
-    dropout: float = 0.0  # accepted for forward compatibility; currently a no-op
 
     def __post_init__(self):
         if self.learning_rate < 0 or self.max_epochs < 0:
@@ -219,16 +218,11 @@ def _loss_impl(tagger, batch, want_grads):
                 d_raw[np.arange(T), gold] -= 1.0
                 d_raw /= denom
         else:
-            log_z, unary, pairwise = chain.forward_backward(raw, tagger.transitions)
-            total += log_z - chain.sequence_score(raw, tagger.transitions, gold)
+            nll, d_raw, d_trans = chain.nll_and_gradients(raw, tagger.transitions, gold)
+            total += nll
             if want_grads:
-                d_raw = unary.copy()
-                d_raw[np.arange(T), gold] -= 1.0
                 d_raw /= denom
-                if T > 1:
-                    d_trans = pairwise.sum(axis=0)
-                    np.add.at(d_trans, (gold[:-1], gold[1:]), -1.0)
-                    grads["transitions"] += d_trans / denom
+                grads["transitions"] += d_trans / denom
         if want_grads:
             _backprop_sentence(tagger, cache, d_raw, grads)
     value = total / denom
@@ -405,18 +399,13 @@ def fit(
 def predict(
     tagger: BiLstmTagger, tokens: list[Token], constrained: bool = False
 ) -> list[str]:
-    """IOB tags for one sentence.
+    """IOB tags for one sentence, optionally with hard IOB2 constraints.
 
-    Softmax head: per-token argmax (ties go to the lower label index).
-    CRF head: Viterbi over the projected scores and transition matrix,
-    optionally with hard IOB2 constraints.
+    The softmax head decodes with zero transitions: the per-token argmax
+    (ties go to the lower label index), or with constraints the most
+    probable IOB2-valid sequence, as each token's normalizer is constant.
     """
     raw, _ = _forward_raw(tagger, tokens)
-    if tagger.head_kind == HEAD_SOFTMAX:
-        indices = np.argmax(raw, axis=1)
-        return [tagger.label_set[i] for i in indices]
-    start_mask = trans_mask = None
-    if constrained:
-        start_mask, trans_mask = iob_decode_masks(tagger.label_set)
-    path = chain.viterbi(raw, tagger.transitions, start_mask, trans_mask)
-    return [tagger.label_set[i] for i in path]
+    L = len(tagger.label_set)
+    transitions = np.zeros((L, L)) if tagger.transitions is None else tagger.transitions
+    return decode(raw, transitions, tagger.label_set, constrained)

@@ -52,9 +52,6 @@ class Sentence:
             if b.start < a.end:
                 raise ValueError("token offsets overlap or go backwards")
 
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
-
     @property
     def start(self) -> int:
         return self.tokens[0].start if self.tokens else 0

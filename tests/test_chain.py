@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_log_partition, brute_unary_marginals, brute_viterbi
+from oracles import (
+    brute_log_partition,
+    brute_unary_marginals,
+    brute_viterbi,
+    central_difference_gradient,
+    enumerate_sequence_scores,
+    max_relative_error,
+)
 from raretag import chain
 
 
@@ -85,6 +92,45 @@ class TestForwardBackward:
         for t in range(5):
             assert np.max(np.abs(pairwise[t].sum(axis=1) - unary[t])) < 1e-10
             assert np.max(np.abs(pairwise[t].sum(axis=0) - unary[t + 1])) < 1e-10
+
+
+class TestNllAndGradients:
+    @staticmethod
+    def cases(T):
+        rng = np.random.default_rng(10 + T)
+        for _ in range(10):
+            L = int(rng.integers(2, 5))
+            scores = rng.normal(0, 1.5, (T, L))
+            trans = rng.normal(0, 1.5, (L, L))
+            yield scores, trans, rng.integers(0, L, T)
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 4])
+    def test_nll_matches_enumeration(self, T):
+        for scores, trans, gold in self.cases(T):
+            nll, _, _ = chain.nll_and_gradients(scores, trans, gold)
+            seqs, totals = enumerate_sequence_scores(scores, trans)
+            gold_total = totals[np.all(seqs == gold, axis=1)][0]
+            expected = brute_log_partition(scores, trans) - gold_total
+            assert nll == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 4])
+    def test_gradients_match_finite_differences(self, T):
+        for scores, trans, gold in self.cases(T):
+            _, d_scores, d_trans = chain.nll_and_gradients(scores, trans, gold)
+
+            def nll():
+                return chain.nll_and_gradients(scores, trans, gold)[0]
+
+            fd_scores = central_difference_gradient(nll, scores)
+            fd_trans = central_difference_gradient(nll, trans)
+            assert max_relative_error(d_scores, fd_scores) < 1e-6
+            assert max_relative_error(d_trans, fd_trans) < 1e-6
+
+    def test_single_token_has_zero_transition_gradient(self):
+        for scores, trans, gold in self.cases(1):
+            _, _, d_trans = chain.nll_and_gradients(scores, trans, gold)
+            assert d_trans.shape == trans.shape
+            assert np.all(d_trans == 0.0)
 
 
 class TestViterbi:

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from raretag import cli
+from raretag import cli, crf, neural
 from raretag.cli import CliError, parse_config, validate_run_config
+from raretag.lbfgs import LineSearchError
 
 
 def run(argv):
@@ -179,6 +180,41 @@ class TestTrain:
         manifest = json.loads((tmp_path / "bl.model.manifest.json").read_text())
         assert manifest["metrics"]["stopped_epoch"] <= 3
         assert manifest["metrics"]["best_epoch"] >= 1
+
+    def test_line_search_failure_is_reported(self, trained_crf, tmp_path,
+                                             monkeypatch, capsys):
+        _, train_conll, _ = trained_crf
+        config = tmp_path / "crf.cfg"
+        config.write_text(f"model_kind = crf\ntrain = {train_conll}\n"
+                          f"model_out = {tmp_path}/never.model\n")
+
+        def fail(*args, **kwargs):
+            raise LineSearchError("no Wolfe step within 20 expansions")
+
+        monkeypatch.setattr(crf, "train", fail)
+        assert run(["train", config]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: no Wolfe step within 20 expansions\n"
+        assert not (tmp_path / "never.model").exists()
+
+    def test_non_finite_loss_is_reported(self, trained_crf, tmp_path,
+                                         monkeypatch, capsys):
+        _, train_conll, heldout_conll = trained_crf
+        config = tmp_path / "bl.cfg"
+        config.write_text(
+            f"model_kind = bilstm-crf\ntrain = {train_conll}\n"
+            f"validation = {heldout_conll}\nembedding = random\n"
+            f"model_out = {tmp_path}/never.model\n"
+        )
+
+        def fail(*args, **kwargs):
+            raise FloatingPointError("epoch 1, batch at index 0: non-finite loss nan")
+
+        monkeypatch.setattr(neural, "fit", fail)
+        assert run(["train", config]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: epoch 1, batch at index 0: non-finite loss nan\n"
+        assert not (tmp_path / "never.model").exists()
 
     def test_config_dir_env_var(self, trained_crf, tmp_path, monkeypatch):
         model, train_conll, _ = trained_crf

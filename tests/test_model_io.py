@@ -114,6 +114,17 @@ class TestFormat:
         path.write_bytes(data + b"extra")
         with pytest.raises(ModelFormatError):
             load_model(path)
+        small = crf.make_zero_model(["O", "B-SIGN", "I-SIGN"], {"w=a": 0})
+        save_model(small, path)
+        data = path.read_bytes()
+        for length in range(len(data)):
+            path.write_bytes(data[:length])
+            with pytest.raises(ModelFormatError):
+                load_model(path)
+        header_start = len(MAGIC) + 12
+        path.write_bytes(data[:header_start] + b"\xff" + data[header_start + 1:])
+        with pytest.raises(ModelFormatError, match="header"):
+            load_model(path)
 
     def test_no_temp_file_left_behind(self, tmp_path):
         model, _ = trained_crf()

@@ -270,10 +270,12 @@ class TestPredict:
         tags = predict(tagger, corpus[0].tokens)
         assert tags == [TAGS[0]] * len(corpus[0].tokens)
 
-    def test_crf_constrained_output_is_valid(self):
+    @pytest.mark.parametrize("head_kind", [HEAD_SOFTMAX, HEAD_CRF])
+    def test_constrained_output_is_valid(self, head_kind):
         rng = np.random.default_rng(6)
-        tagger, corpus = small_tagger(HEAD_CRF, seed=6)
-        tagger.transitions[:] = rng.normal(0, 3, tagger.transitions.shape)
+        tagger, corpus = small_tagger(head_kind, seed=6)
+        if tagger.transitions is not None:
+            tagger.transitions[:] = rng.normal(0, 3, tagger.transitions.shape)
         tagger.head_W[:] = rng.normal(0, 3, tagger.head_W.shape)
         for ts in corpus:
             assert validate(predict(tagger, ts.tokens, constrained=True)) == []
