@@ -1,10 +1,18 @@
 """Linear-chain dynamic programs over dense score matrices.
 
-All routines take per-position state scores ``[T, L]`` and a transition
-matrix ``[L, L]`` (``trans[i, j]`` scores label i followed by label j) and
-work in natural-log space with the log-sum-exp trick, so they stay stable
-for score magnitudes up to about 1e3. Shared by the feature-based CRF and
-the neural CRF output head.
+All routines take state scores ``[N, L]`` and a transition matrix
+``[L, L]`` (``trans[i, j]`` scores label i followed by label j) and work in
+natural-log space with the log-sum-exp trick, so they stay stable for
+score magnitudes up to about 1e3. Shared by the feature-based CRF and the
+neural CRF output head.
+
+``forward_backward``, ``nll_and_gradients`` and ``sequence_score`` score a
+batch of sentences in one packed, time-major layout (PyTorch's
+``PackedSequence`` convention): sentences are sorted longest first, and
+the rows of position t are one contiguous block of ``batch_sizes[t]``
+sentences, in the same order in every block. ``batch_sizes=None`` means
+one sentence of N tokens, the only form ``log_partition`` and ``viterbi``
+take.
 """
 
 from __future__ import annotations
@@ -13,10 +21,11 @@ import numpy as np
 
 
 def logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
-    amax = np.max(a, axis=axis, keepdims=True)
+    # ndarray methods, not np.max/np.sum: the recursions call this on small
+    # blocks, where the wrappers' Python overhead outweighs the arithmetic.
+    amax = a.max(axis=axis, keepdims=True)
     amax = np.where(np.isfinite(amax), amax, 0.0)
-    out = np.log(np.sum(np.exp(a - amax), axis=axis)) + np.squeeze(amax, axis=axis)
-    return out
+    return np.log(np.exp(a - amax).sum(axis=axis)) + amax.squeeze(axis=axis)
 
 
 def _check(scores: np.ndarray, transitions: np.ndarray) -> None:
@@ -29,82 +38,106 @@ def _check(scores: np.ndarray, transitions: np.ndarray) -> None:
         )
 
 
-def sequence_score(
-    scores: np.ndarray, transitions: np.ndarray, labels: list[int] | np.ndarray
-) -> float:
-    """Unnormalized log score of one label sequence."""
+def _batch_sizes(scores: np.ndarray, transitions: np.ndarray,
+                 batch_sizes) -> np.ndarray:
     _check(scores, transitions)
+    if batch_sizes is None:
+        return np.ones(scores.shape[0], dtype=np.intp)
+    sizes = np.asarray(batch_sizes, dtype=np.intp)
+    if (sizes.ndim != 1 or sizes.size == 0 or sizes[-1] < 1
+            or np.any(sizes[1:] > sizes[:-1]) or sizes.sum() != scores.shape[0]):
+        raise ValueError("batch_sizes must be positive, non-increasing and "
+                         "sum to the number of score rows")
+    return sizes
+
+
+def _links(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(predecessor rows, successor rows) of every adjacent token pair."""
+    successors = np.arange(sizes[0], sizes.sum())
+    return successors - np.repeat(sizes[:-1], sizes[1:]), successors
+
+
+def sequence_score(
+    scores: np.ndarray, transitions: np.ndarray, labels: list[int] | np.ndarray,
+    batch_sizes=None,
+) -> float:
+    """Unnormalized log score of one label sequence per sentence, summed."""
+    sizes = _batch_sizes(scores, transitions, batch_sizes)
     labels = np.asarray(labels)
-    if labels.shape[0] != scores.shape[0]:
+    if labels.shape != scores.shape[:1]:
         raise ValueError("label sequence length does not match scores")
+    pred, succ = _links(sizes)
     total = float(np.sum(scores[np.arange(len(labels)), labels]))
-    total += float(np.sum(transitions[labels[:-1], labels[1:]]))
+    total += float(np.sum(transitions[labels[pred], labels[succ]]))
     return total
 
 
-def forward_log_alphas(scores: np.ndarray, transitions: np.ndarray) -> np.ndarray:
-    _check(scores, transitions)
-    T = scores.shape[0]
-    alphas = np.empty_like(scores)
-    alphas[0] = scores[0]
-    for t in range(1, T):
-        alphas[t] = scores[t] + logsumexp(alphas[t - 1][:, None] + transitions, axis=0)
-    return alphas
-
-
-def backward_log_betas(scores: np.ndarray, transitions: np.ndarray) -> np.ndarray:
-    _check(scores, transitions)
-    T = scores.shape[0]
-    betas = np.zeros_like(scores)
-    for t in range(T - 2, -1, -1):
-        betas[t] = logsumexp(
-            transitions + (scores[t + 1] + betas[t + 1])[None, :], axis=1
-        )
-    return betas
-
-
 def log_partition(scores: np.ndarray, transitions: np.ndarray) -> float:
-    """log Z over all L^T label sequences, via the forward recursion."""
-    return float(logsumexp(forward_log_alphas(scores, transitions)[-1], axis=0))
-
-
-def log_partition_backward(scores: np.ndarray, transitions: np.ndarray) -> float:
-    """log Z via the backward recursion (cross-check of the forward pass)."""
-    betas = backward_log_betas(scores, transitions)
-    return float(logsumexp(scores[0] + betas[0], axis=0))
+    """log Z over all L^T label sequences of one sentence."""
+    return forward_backward(scores, transitions)[0]
 
 
 def forward_backward(
-    scores: np.ndarray, transitions: np.ndarray
+    scores: np.ndarray, transitions: np.ndarray, batch_sizes=None
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """(log Z, unary marginals [T, L], pairwise marginals [T-1, L, L]).
+    """(log Z summed over sentences, unary marginals [N, L], pairwise
+    marginals [N - B, L, L]).
 
-    Unary rows sum to 1; pairwise[t, i, j] is the probability of label i
-    at t followed by label j at t+1.
+    Unary rows sum to 1. Pairwise row k is the probability of each label
+    pair at successor row ``batch_sizes[0] + k`` and its predecessor
+    (``[T-1, L, L]`` for one sentence): pairwise[k, i, j] is label i at
+    the predecessor followed by label j.
     """
-    alphas = forward_log_alphas(scores, transitions)
-    betas = backward_log_betas(scores, transitions)
-    log_z = float(logsumexp(alphas[-1], axis=0))
-    unary = np.exp(alphas + betas - log_z)
-    pairwise = np.exp(
-        alphas[:-1, :, None]
-        + transitions
-        + (scores[1:] + betas[1:])[:, None, :]
-        - log_z
-    )
-    return log_z, unary, pairwise
+    sizes = _batch_sizes(scores, transitions, batch_sizes)
+    counts = sizes.tolist()
+    starts = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    alphas = np.empty_like(scores)
+    betas = np.zeros_like(scores)
+    alphas[: counts[0]] = scores[: counts[0]]
+    for t in range(1, len(counts)):
+        n, prev, cur = counts[t], starts[t - 1], starts[t]
+        alphas[cur : cur + n] = scores[cur : cur + n] + logsumexp(
+            alphas[prev : prev + n, :, None] + transitions, axis=1
+        )
+    for t in range(len(counts) - 1, 0, -1):
+        n, prev, cur = counts[t], starts[t - 1], starts[t]
+        betas[prev : prev + n] = logsumexp(
+            transitions + (scores[cur : cur + n] + betas[cur : cur + n])[:, None, :],
+            axis=2,
+        )
+    N = scores.shape[0]
+    pred, succ = _links(sizes)
+    sentence = np.arange(N) - np.repeat(starts[:-1], sizes)
+    last = np.ones(N, dtype=bool)
+    last[pred] = False
+    log_z = np.empty(counts[0])
+    log_z[sentence[last]] = logsumexp(alphas[last], axis=1)
+    row_log_z = log_z[sentence]
+    unary = alphas + betas
+    unary -= row_log_z[:, None]
+    np.exp(unary, out=unary)
+    pairwise = alphas[pred, :, None] + transitions
+    pairwise += (scores[succ] + betas[succ])[:, None, :]
+    pairwise -= row_log_z[succ, None, None]
+    np.exp(pairwise, out=pairwise)
+    return float(log_z.sum()), unary, pairwise
 
 
 def nll_and_gradients(
-    scores: np.ndarray, transitions: np.ndarray, gold: np.ndarray
+    scores: np.ndarray, transitions: np.ndarray, gold: np.ndarray,
+    batch_sizes=None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """(-log p(gold), its gradient wrt scores [T, L], wrt transitions [L, L]):
-    marginals minus the gold one-hots and transition counts."""
-    log_z, unary, pairwise = forward_backward(scores, transitions)
-    nll = log_z - sequence_score(scores, transitions, gold)
+    """(-log p(gold) summed over sentences, its gradient wrt scores [N, L],
+    wrt transitions [L, L]): marginals minus the gold one-hots and
+    transition counts."""
+    log_z, unary, pairwise = forward_backward(scores, transitions, batch_sizes)
+    gold = np.asarray(gold)
+    nll = log_z - sequence_score(scores, transitions, gold, batch_sizes)
     unary[np.arange(len(gold)), gold] -= 1.0
+    L = transitions.shape[0]
+    pred, succ = _links(_batch_sizes(scores, transitions, batch_sizes))
     d_trans = pairwise.sum(axis=0)
-    np.add.at(d_trans, (gold[:-1], gold[1:]), -1.0)
+    d_trans -= np.bincount(gold[pred] * L + gold[succ], minlength=L * L).reshape(L, L)
     return nll, unary, d_trans
 
 

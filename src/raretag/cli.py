@@ -264,6 +264,8 @@ def cmd_train(args) -> int:
             "iterations": opt.iterations,
             "converged": opt.converged,
             "features": len(model.feature_index),
+            "objective_evaluations": opt.evaluations,
+            "objective_trace": opt.trace,
         }
     else:
         fc = neural.FitConfig(

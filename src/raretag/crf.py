@@ -10,6 +10,7 @@ test-time features are dropped, never grown into the model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -35,13 +36,22 @@ class TrainConfig:
             raise ValueError("invalid iteration/memory settings")
 
 
-def _state_scores(weights: np.ndarray, indexed: list[np.ndarray]) -> np.ndarray:
-    """[T, L] scores: each token's active feature rows, summed."""
-    scores = np.zeros((len(indexed), weights.shape[1]))
-    for t, idx in enumerate(indexed):
-        if idx.size:
-            scores[t] = weights[idx].sum(axis=0)
-    return scores
+def _flat_pairs(indexed: list[np.ndarray],
+                token_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(score row, feature index) of every active pair, token by token."""
+    sizes = [idx.size for idx in indexed]
+    return np.repeat(token_rows, sizes), np.concatenate(indexed)
+
+
+def _gather_sum(source: np.ndarray, take: np.ndarray, put: np.ndarray,
+                size: int) -> np.ndarray:
+    """[size, L] array whose row r sums ``source[take[k]]`` over all k with
+    ``put[k] == r``: state scores from weights, or the state gradient from
+    score gradients, one ``np.bincount`` per label."""
+    out = np.empty((size, source.shape[1]))
+    for label in range(source.shape[1]):
+        out[:, label] = np.bincount(put, source[take, label], minlength=size)
+    return out
 
 
 @dataclass
@@ -76,7 +86,8 @@ class CrfModel:
         ]
 
     def state_scores(self, indexed: list[np.ndarray]) -> np.ndarray:
-        return _state_scores(self.state_weights, indexed)
+        rows, features = _flat_pairs(indexed, np.arange(len(indexed)))
+        return _gather_sum(self.state_weights, features, rows, len(indexed))
 
 
 def make_zero_model(
@@ -112,33 +123,53 @@ def _unflatten(w: np.ndarray, F: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     return w[: F * L].reshape(F, L), w[F * L :].reshape(L, L)
 
 
+@dataclass
+class _Packed:
+    """Sentences in ``chain.forward_backward``'s packed layout, with every
+    active (token, feature) pair flattened."""
+
+    batch_sizes: np.ndarray  # sentences still running at each position
+    gold: np.ndarray  # [N] gold label index of each packed row
+    rows: np.ndarray  # packed row of each active pair
+    features: np.ndarray  # feature index of each active pair
+
+
+def _pack(indexed_batch: list[tuple[list[np.ndarray], np.ndarray]]) -> _Packed:
+    """Lay out indexed sentences longest first; ties keep their order."""
+    lengths = np.array([len(gold) for _, gold in indexed_batch])
+    rank = np.empty_like(lengths)
+    rank[np.argsort(-lengths, kind="stable")] = np.arange(len(lengths))
+    positions = np.arange(lengths.max())
+    batch_sizes = np.count_nonzero(lengths > positions[:, None], axis=1)
+    starts = np.concatenate([[0], np.cumsum(batch_sizes)])
+    token_rows = np.concatenate(
+        [starts[: len(gold)] + rank[b] for b, (_, gold) in enumerate(indexed_batch)]
+    )
+    gold = np.empty(len(token_rows), dtype=np.intp)
+    gold[token_rows] = np.concatenate([g for _, g in indexed_batch])
+    rows, features = _flat_pairs(
+        [idx for indexed, _ in indexed_batch for idx in indexed], token_rows
+    )
+    return _Packed(batch_sizes, gold, rows, features)
+
+
 def _batch_nll_grad(
-    w: np.ndarray,
-    indexed_batch: list[tuple[list[np.ndarray], np.ndarray]],
-    F: int,
-    L: int,
-    l2: float,
+    w: np.ndarray, batch: _Packed, F: int, L: int, l2: float
 ) -> tuple[float, np.ndarray]:
     """Sum of per-sentence NLL plus the L2 term, with its gradient."""
     state, trans = _unflatten(w, F, L)
-    grad_state = np.zeros_like(state)
-    grad_trans = np.zeros_like(trans)
-    nll = 0.0
-    for indexed, gold in indexed_batch:
-        scores = _state_scores(state, indexed)
-        value, d_scores, d_trans = chain.nll_and_gradients(scores, trans, gold)
-        nll += value
-        for t, idx in enumerate(indexed):
-            if idx.size:
-                np.add.at(grad_state, idx, d_scores[t])
-        grad_trans += d_trans
+    scores = _gather_sum(state, batch.features, batch.rows, len(batch.gold))
+    nll, d_scores, d_trans = chain.nll_and_gradients(
+        scores, trans, batch.gold, batch.batch_sizes
+    )
+    grad_state = _gather_sum(d_scores, batch.rows, batch.features, F)
     value = nll + 0.5 * l2 * float(np.dot(w, w))
-    grad = _flatten(grad_state, grad_trans) + l2 * w
+    grad = _flatten(grad_state, d_trans) + l2 * w
     return value, grad
 
 
 def _index_batch(
-    model: CrfModel, batch: list[tuple[list[list[str]], list[str]]]
+    model: CrfModel, batch: Iterable[tuple[list[list[str]], list[str]]]
 ) -> list[tuple[list[np.ndarray], np.ndarray]]:
     indexed_batch = []
     for token_features, tags in batch:
@@ -171,7 +202,7 @@ def nll_and_gradient(
     F, L = len(model.feature_index), len(model.label_set)
     w = _flatten(model.state_weights, model.transition_weights)
     value, grad = _batch_nll_grad(
-        w, _index_batch(model, batch), F, L, config.l2_coefficient
+        w, _pack(_index_batch(model, batch)), F, L, config.l2_coefficient
     )
     value += config.l1_coefficient * float(np.abs(w).sum())
     return value, grad
@@ -206,15 +237,16 @@ def train(
     labels = list(label_set) if label_set else list(iob.TAGS)
     feature_index = build_feature_index(sentences, config.window)
     model = make_zero_model(labels, feature_index, config.window)
-    batch = [
+    # Each sentence is indexed as its features are extracted, so the
+    # feature strings of the whole corpus are never held at once.
+    batch = _pack(_index_batch(model, (
         (sentence_features(Sentence(ts.tokens), config.window), ts.tags)
         for ts in sentences
-    ]
-    indexed = _index_batch(model, batch)
+    )))
     F, L = len(feature_index), len(labels)
 
     def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
-        return _batch_nll_grad(w, indexed, F, L, config.l2_coefficient)
+        return _batch_nll_grad(w, batch, F, L, config.l2_coefficient)
 
     result = lbfgs.minimize(
         objective,

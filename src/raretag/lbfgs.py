@@ -31,7 +31,8 @@ class OptimizeResult:
     iterations: int
     converged: bool
     message: str
-    trace: list[float] = field(default_factory=list)
+    trace: list[float] = field(default_factory=list)  # objective per iteration
+    evaluations: int = 0  # calls of the objective, line searches included
 
 
 def _two_loop(grad, s_list, y_list, rho_list):
@@ -140,13 +141,22 @@ def minimize(
 
     `fun` returns (value, gradient) of the smooth part. Convergence is a
     relative objective change below `tol`; the objective never increases
-    across accepted iterations.
+    across accepted iterations. ``trace`` holds the objective at the start
+    and after each of the ``iterations`` accepted steps.
     """
+    evaluations = 0
+
+    def counted(x):
+        nonlocal evaluations
+        evaluations += 1
+        return objective(x)
+
+    objective, fun = fun, counted
     x = np.asarray(x0, dtype=np.float64).copy()
     if max_iterations <= 0:
         f, _ = fun(x)
         return OptimizeResult(x, f + l1 * np.abs(x).sum(), 0, False,
-                              "max_iterations reached", [f])
+                              "max_iterations reached", [f], evaluations)
     f, g = fun(x)
     f_total = f + l1 * np.abs(x).sum()
     trace = [f_total]
@@ -156,7 +166,6 @@ def minimize(
 
     converged = False
     message = "max_iterations reached"
-    it = 0
     for it in range(1, max_iterations + 1):
         if l1 > 0:
             pg = _pseudo_gradient(x, g, l1)
@@ -207,4 +216,5 @@ def minimize(
             converged, message = True, "relative objective change below tol"
             break
 
-    return OptimizeResult(x, f_total, it, converged, message, trace)
+    return OptimizeResult(x, f_total, len(trace) - 1, converged, message, trace,
+                          evaluations)

@@ -4,8 +4,9 @@ Layout: magic bytes, uint32 format version, uint64 header length, a JSON
 header (model kind, metadata such as the label set and feature table, and
 one entry per weight array with its section name and shape), then the raw
 array payloads as little-endian float64 in header order. Files are
-written to a temp file and atomically renamed so a failed save never
-leaves a partial model behind.
+written to a unique temp file in the target directory, flushed to disk
+and atomically renamed, so a failed save never leaves a partial model
+behind and concurrent writers never share a temp file.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import math
 import os
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +37,25 @@ class ModelFormatError(ValueError):
     pass
 
 
+# mkstemp creates its file 0600; give the output the mode open() would.
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
+
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
+                               dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.chmod(tmp, 0o666 & ~_UMASK)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -138,14 +154,16 @@ def _tagger_payload(tagger: BiLstmTagger) -> tuple[str, dict, list]:
     return kind, meta, arrays
 
 
-def save_model(model: CrfModel | BiLstmTagger, path: str | Path) -> None:
+def _payload(model: CrfModel | BiLstmTagger) -> tuple[str, dict, list]:
     if isinstance(model, CrfModel):
-        kind, meta, arrays = _crf_payload(model)
-    elif isinstance(model, BiLstmTagger):
-        kind, meta, arrays = _tagger_payload(model)
-    else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
-    atomic_write_bytes(path, _pack(kind, meta, arrays))
+        return _crf_payload(model)
+    if isinstance(model, BiLstmTagger):
+        return _tagger_payload(model)
+    raise TypeError(f"cannot serialize {type(model).__name__}")
+
+
+def save_model(model: CrfModel | BiLstmTagger, path: str | Path) -> None:
+    atomic_write_bytes(path, _pack(*_payload(model)))
 
 
 def _load_cell(prefix: str, arrays: dict, input_dim: int,
@@ -156,39 +174,77 @@ def _load_cell(prefix: str, arrays: dict, input_dim: int,
     return LstmCell(input_dim, hidden_dim, W, U, b)
 
 
-def load_model(path: str | Path) -> CrfModel | BiLstmTagger:
-    kind, meta, arrays = _unpack(Path(path).read_bytes())
+_HEADER_FIELDS = {
+    KIND_CRF: {"label_set": list, "features": list, "window": int},
+    KIND_BILSTM: {
+        "label_set": list, "head_kind": str, "hidden_dim": int,
+        "embedding_dim": int, "embedding_vocab": list,
+        "embedding_trainable": bool, "oov_policy": str, "oov_seed": int,
+    },
+}
+_HEADER_FIELDS[KIND_BILSTM_CRF] = _HEADER_FIELDS[KIND_BILSTM]
+
+
+def _check_fields(kind: str, meta) -> None:
+    if kind not in _HEADER_FIELDS:
+        raise ModelFormatError(f"unknown model kind {kind!r}")
+    if not isinstance(meta, dict):
+        raise ModelFormatError("corrupt model header: meta is not an object")
+    for key, kind_of in _HEADER_FIELDS[kind].items():
+        value = meta.get(key)
+        if not isinstance(value, kind_of) or (
+                kind_of is list and not all(isinstance(v, str) for v in value)):
+            raise ModelFormatError(f"corrupt model header: {key!r} is missing "
+                                   f"or not a {kind_of.__name__}")
+
+
+def _build(kind: str, meta: dict, arrays: dict) -> CrfModel | BiLstmTagger:
     if kind == KIND_CRF:
-        feature_index = {f: i for i, f in enumerate(meta["features"])}
         return CrfModel(
             list(meta["label_set"]),
-            feature_index,
+            {f: i for i, f in enumerate(meta["features"])},
             arrays["state_weights"],
             arrays["transition_weights"],
-            int(meta["window"]),
+            meta["window"],
         )
-    if kind in (KIND_BILSTM, KIND_BILSTM_CRF):
-        dim = int(meta["embedding_dim"])
-        hidden = int(meta["hidden_dim"])
-        table = EmbeddingTable(
-            dim,
-            {w: i for i, w in enumerate(meta["embedding_vocab"])},
-            arrays["embedding.matrix"],
-            meta["oov_policy"],
-            int(meta["oov_seed"]),
-        )
-        return BiLstmTagger(
-            list(meta["label_set"]),
-            meta["head_kind"],
-            table,
-            bool(meta["embedding_trainable"]),
-            _load_cell("fw", arrays, dim, hidden),
-            _load_cell("bw", arrays, dim, hidden),
-            arrays["head.W"],
-            arrays["head.b"],
-            arrays.get("transitions"),
-        )
-    raise ModelFormatError(f"unknown model kind {kind!r}")
+    dim, hidden = meta["embedding_dim"], meta["hidden_dim"]
+    table = EmbeddingTable(
+        dim,
+        {w: i for i, w in enumerate(meta["embedding_vocab"])},
+        arrays["embedding.matrix"],
+        meta["oov_policy"],
+        meta["oov_seed"],
+    )
+    return BiLstmTagger(
+        list(meta["label_set"]),
+        meta["head_kind"],
+        table,
+        meta["embedding_trainable"],
+        _load_cell("fw", arrays, dim, hidden),
+        _load_cell("bw", arrays, dim, hidden),
+        arrays["head.W"],
+        arrays["head.b"],
+        arrays.get("transitions"),
+    )
+
+
+def load_model(path: str | Path) -> CrfModel | BiLstmTagger:
+    """Read a model file; any inconsistency in it raises ModelFormatError."""
+    kind, meta, arrays = _unpack(Path(path).read_bytes())
+    _check_fields(kind, meta)
+    try:
+        model = _build(kind, meta, arrays)
+    except KeyError as err:
+        raise ModelFormatError(f"corrupt model header: no array {err}") from None
+    except ValueError as err:  # shapes, duplicate names, non-finite weights
+        raise ModelFormatError(f"invalid {kind} model: {err}") from None
+    # The constructors check every array's shape; the names and the kind
+    # must be those that saving the model would write.
+    saved_kind, _, saved = _payload(model)
+    if saved_kind != kind or [name for name, _ in saved] != list(arrays):
+        raise ModelFormatError(f"corrupt model header: the arrays do not "
+                               f"match a {kind} model")
+    return model
 
 
 def model_kind(path: str | Path) -> str:

@@ -67,8 +67,9 @@ class BiLstmTagger:
             raise ValueError(f"unknown head kind {self.head_kind!r}")
         L = len(self.label_set)
         two_h = 2 * self.forward_cell.hidden_dim
-        if self.head_W.shape != (L, two_h):
-            raise ValueError(f"head_W shape {self.head_W.shape} != ({L}, {two_h})")
+        if self.head_W.shape != (L, two_h) or self.head_b.shape != (L,):
+            raise ValueError(f"head shapes {self.head_W.shape}, {self.head_b.shape}"
+                             f" != ({L}, {two_h}), ({L},)")
         if self.head_kind == HEAD_CRF:
             if self.transitions is None or self.transitions.shape != (L, L):
                 raise ValueError("CRF head requires a [L, L] transition matrix")

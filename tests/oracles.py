@@ -31,6 +31,20 @@ def brute_log_partition(scores: np.ndarray, transitions: np.ndarray) -> float:
     return float(m + np.log(np.exp(totals - m).sum()))
 
 
+def log_partition_backward(scores: np.ndarray, transitions: np.ndarray) -> float:
+    """log Z of one sentence via the backward recursion alone, as a
+    cross-check of the library's forward pass."""
+
+    def logsumexp(a, axis):
+        m = np.max(a, axis=axis, keepdims=True)
+        return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
+
+    beta = np.zeros(scores.shape[1])
+    for t in range(scores.shape[0] - 1, 0, -1):
+        beta = logsumexp(transitions + (scores[t] + beta)[None, :], axis=1)
+    return float(logsumexp(scores[0] + beta, axis=0))
+
+
 def brute_viterbi(
     scores: np.ndarray, transitions: np.ndarray, tie_tol: float = 1e-9
 ) -> tuple[list[int], float, int]:

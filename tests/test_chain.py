@@ -9,6 +9,7 @@ from oracles import (
     brute_viterbi,
     central_difference_gradient,
     enumerate_sequence_scores,
+    log_partition_backward,
     max_relative_error,
 )
 from raretag import chain
@@ -54,7 +55,7 @@ class TestLogPartition:
         for _ in range(100):
             scores, trans = random_case(rng, scale=3.0)
             fwd = chain.log_partition(scores, trans)
-            bwd = chain.log_partition_backward(scores, trans)
+            bwd = log_partition_backward(scores, trans)
             assert abs(fwd - bwd) < 1e-10
 
     def test_empty_sequence_rejected(self):
@@ -131,6 +132,94 @@ class TestNllAndGradients:
             _, _, d_trans = chain.nll_and_gradients(scores, trans, gold)
             assert d_trans.shape == trans.shape
             assert np.all(d_trans == 0.0)
+
+
+def ragged_batch(rng):
+    """1-8 sentences of T = 1..6 tokens over one label set, as
+    (per-sentence scores, per-sentence gold, transitions)."""
+    L = int(rng.integers(2, 5))
+    lengths = rng.integers(1, 7, int(rng.integers(1, 9)))
+    scores = [rng.normal(0, 1.5, (T, L)) for T in lengths]
+    gold = [rng.integers(0, L, T) for T in lengths]
+    return scores, gold, rng.normal(0, 1.5, (L, L))
+
+
+def pack(sentences):
+    """(batch_sizes, {(sentence, position): packed row}): longest first,
+    ties in input order, one block of rows per position."""
+    order = sorted(range(len(sentences)), key=lambda b: -len(sentences[b]))
+    sizes, row_of = [], {}
+    for t in range(len(sentences[order[0]])):
+        running = [b for b in order if len(sentences[b]) > t]
+        sizes.append(len(running))
+        for b in running:
+            row_of[b, t] = len(row_of)
+    return sizes, row_of
+
+
+def packed(arrays, row_of):
+    out = np.empty((len(row_of),) + arrays[0].shape[1:], dtype=arrays[0].dtype)
+    for (b, t), row in row_of.items():
+        out[row] = arrays[b][t]
+    return out
+
+
+class TestPacked:
+    def test_forward_backward_equals_per_sentence(self):
+        rng = np.random.default_rng(20)
+        for _ in range(50):
+            scores, _, trans = ragged_batch(rng)
+            sizes, row_of = pack(scores)
+            log_z, unary, pairwise = chain.forward_backward(
+                packed(scores, row_of), trans, sizes)
+            assert pairwise.shape == (len(row_of) - sizes[0],) + trans.shape
+            total = 0.0
+            for b, s in enumerate(scores):
+                z_b, unary_b, pairwise_b = chain.forward_backward(s, trans)
+                total += z_b
+                for t in range(len(s)):
+                    row = row_of[b, t]
+                    assert np.max(np.abs(unary[row] - unary_b[t])) < 1e-12
+                    if t:
+                        assert np.max(np.abs(
+                            pairwise[row - sizes[0]] - pairwise_b[t - 1])) < 1e-12
+            assert log_z == pytest.approx(total, abs=1e-10)
+
+    def test_nll_and_gradients_equal_per_sentence(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            scores, gold, trans = ragged_batch(rng)
+            sizes, row_of = pack(scores)
+            nll, d_scores, d_trans = chain.nll_and_gradients(
+                packed(scores, row_of), trans, packed(gold, row_of), sizes)
+            results = [chain.nll_and_gradients(s, trans, g)
+                       for s, g in zip(scores, gold)]
+            assert nll == pytest.approx(sum(r[0] for r in results), abs=1e-10)
+            per_sentence = packed([r[1] for r in results], row_of)
+            assert np.max(np.abs(d_scores - per_sentence)) < 1e-12
+            assert np.max(np.abs(d_trans - sum(r[2] for r in results))) < 1e-10
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            scores, gold, trans = ragged_batch(rng)
+            sizes, row_of = pack(scores)
+            flat, flat_gold = packed(scores, row_of), packed(gold, row_of)
+            _, d_scores, d_trans = chain.nll_and_gradients(
+                flat, trans, flat_gold, sizes)
+
+            def nll():
+                return chain.nll_and_gradients(flat, trans, flat_gold, sizes)[0]
+
+            assert max_relative_error(
+                d_scores, central_difference_gradient(nll, flat)) < 1e-6
+            assert max_relative_error(
+                d_trans, central_difference_gradient(nll, trans)) < 1e-6
+
+    @pytest.mark.parametrize("sizes", [[1, 2], [2, 0], [2], [3, 1, 1]])
+    def test_invalid_batch_sizes_rejected(self, sizes):
+        with pytest.raises(ValueError, match="batch_sizes"):
+            chain.forward_backward(np.zeros((3, 2)), np.zeros((2, 2)), sizes)
 
 
 class TestViterbi:

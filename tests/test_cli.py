@@ -140,6 +140,9 @@ class TestTrain:
         assert manifest["config"]["model_kind"] == "crf"
         assert manifest["metrics"]["converged"] in (True, False)
         assert manifest["durations"]["train_seconds"] >= 0
+        iterations = manifest["metrics"]["iterations"]
+        assert len(manifest["metrics"]["objective_trace"]) == iterations + 1
+        assert manifest["metrics"]["objective_evaluations"] >= iterations
 
     def test_missing_embedding_file_fails_before_training(self, trained_crf,
                                                           tmp_path):

@@ -62,6 +62,9 @@ class TestLogPartition:
         known = crf.log_partition(model, [["f"]])
         with_unknown = crf.log_partition(model, [["f", "never-seen"]])
         assert known == with_unknown
+        model.state_weights[0] = [0.5, -1.5]
+        scores = model.state_scores(model.index_tokens([["f"], ["never-seen"]]))
+        assert np.array_equal(scores, [[0.5, -1.5], [0.0, 0.0]])
 
     def test_marginals_rows_sum_to_one(self):
         rng = np.random.default_rng(22)

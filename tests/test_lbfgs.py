@@ -53,6 +53,20 @@ class TestSmooth:
         assert result.converged
         assert result.iterations <= 1
 
+    @pytest.mark.parametrize("start,l1", [
+        ([-1.2, 1.0], 0.0), ([1.0, 1.0], 0.0), ([-1.2, 1.0], 0.5)])
+    def test_trace_and_evaluation_counts(self, start, l1):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return rosenbrock(x)
+
+        result = minimize(counted, np.array(start), max_iterations=30, l1=l1)
+        assert result.evaluations == len(calls)
+        assert len(result.trace) == result.iterations + 1
+        assert result.evaluations >= result.iterations
+
     def test_ascent_direction_raises(self):
         def bad(x):
             return float(-np.sum(x * x)), -2 * x  # maximization masquerading

@@ -1,13 +1,18 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from toy import toy_corpus
-from raretag import crf, neural
+from raretag import cli, crf, model_io, neural
+from raretag.conll import ConllSentence, write_conll
 from raretag.crf import TrainConfig
 from raretag.embeddings import random_table
 from raretag.model_io import (
     MAGIC,
     ModelFormatError,
+    atomic_write_bytes,
     dump_text,
     load_model,
     model_kind,
@@ -131,6 +136,80 @@ class TestFormat:
         path = tmp_path / "model.bin"
         save_model(model, path)
         assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("kind", ["crf", "bilstm-crf"])
+    def test_bit_flips_load_or_raise_format_error(self, tmp_path, capsys, kind):
+        if kind == "crf":
+            model, corpus = trained_crf()
+        else:
+            model, corpus = built_tagger(neural.HEAD_CRF)
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        data = path.read_bytes()
+        gold = tmp_path / "gold.conll"
+        gold.write_text(write_conll([
+            ConllSentence("d", Sentence(ts.tokens), ts.tags) for ts in corpus]))
+        rng = np.random.default_rng(404)
+        rejected = 0
+        for _ in range(200):
+            flipped = bytearray(data)
+            flipped[rng.integers(min(4096, len(data)))] ^= 1 << rng.integers(8)
+            path.write_bytes(bytes(flipped))
+            try:
+                load_model(path)
+            except ModelFormatError:
+                rejected += 1
+                assert cli.main(["evaluate", str(path), str(gold)]) == 1
+                assert capsys.readouterr().err.startswith("error: ")
+        assert 0 < rejected < 200
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda meta, arrays: meta.pop("window"),
+        lambda meta, arrays: meta.update(features="f"),
+        lambda meta, arrays: meta.update(label_set=[1, 2, 3]),
+        lambda meta, arrays: arrays.append(("extra", np.zeros(2))),
+        lambda meta, arrays: arrays.pop(),
+        lambda meta, arrays: arrays.reverse(),
+        lambda meta, arrays: meta.update(features=meta["features"][:1] * 2),
+        lambda meta, arrays: arrays[0][1].fill(np.nan),
+    ], ids=["no-key", "bad-type", "bad-labels", "extra-array", "missing-array",
+            "swapped-arrays", "duplicate-features", "non-finite"])
+    def test_inconsistent_header_is_named(self, tmp_path, corrupt):
+        small = crf.make_zero_model(["O", "B-SIGN", "I-SIGN"], {"a": 0, "b": 1})
+        kind, meta, arrays = model_io._crf_payload(small)
+        arrays = [(name, a.copy()) for name, a in arrays]
+        corrupt(meta, arrays)
+        path = tmp_path / "model.bin"
+        path.write_bytes(model_io._pack(kind, meta, arrays))
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    def test_concurrent_writers_leave_one_whole_payload(self, tmp_path):
+        path = tmp_path / "model.bin"
+        payloads = [bytes([i]) * (2 << 20) for i in range(4)]
+        errors = []
+
+        def write(payload):
+            try:
+                for _ in range(15):
+                    atomic_write_bytes(path, payload)
+            except OSError as err:
+                errors.append(err)
+
+        threads = [threading.Thread(target=write, args=(p,)) for p in payloads]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert path.read_bytes() in payloads
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_dump_text_is_lossless(self, tmp_path):
         model, _ = trained_crf()
