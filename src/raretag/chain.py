@@ -12,7 +12,8 @@ batch of sentences in one packed, time-major layout (PyTorch's
 the rows of position t are one contiguous block of ``batch_sizes[t]``
 sentences, in the same order in every block. ``batch_sizes=None`` means
 one sentence of N tokens, the only form ``log_partition`` and ``viterbi``
-take.
+take. ``pack``, ``links`` and ``reversed_rows`` build and read this
+layout for the CRF objective and the BiLSTM alike.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ def logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
     return np.log(np.exp(a - amax).sum(axis=axis)) + amax.squeeze(axis=axis)
 
 
-def _check(scores: np.ndarray, transitions: np.ndarray) -> None:
+def _check(scores: np.ndarray, transitions: np.ndarray,
+           batch_sizes=None) -> np.ndarray:
+    """Checked ``batch_sizes`` of a packed batch of scores."""
     if scores.ndim != 2 or scores.shape[0] == 0:
         raise ValueError("scores must be a non-empty [T, L] matrix")
     L = scores.shape[1]
@@ -36,25 +39,49 @@ def _check(scores: np.ndarray, transitions: np.ndarray) -> None:
         raise ValueError(
             f"transition matrix {transitions.shape} does not match {L} labels"
         )
+    return packed_sizes(batch_sizes, scores.shape[0])
 
 
-def _batch_sizes(scores: np.ndarray, transitions: np.ndarray,
-                 batch_sizes) -> np.ndarray:
-    _check(scores, transitions)
+def packed_sizes(batch_sizes, rows: int) -> np.ndarray:
+    """Checked ``batch_sizes`` of ``rows`` packed rows (None: one sentence)."""
     if batch_sizes is None:
-        return np.ones(scores.shape[0], dtype=np.intp)
+        return np.ones(rows, dtype=np.intp)
     sizes = np.asarray(batch_sizes, dtype=np.intp)
     if (sizes.ndim != 1 or sizes.size == 0 or sizes[-1] < 1
-            or np.any(sizes[1:] > sizes[:-1]) or sizes.sum() != scores.shape[0]):
+            or np.any(sizes[1:] > sizes[:-1]) or sizes.sum() != rows):
         raise ValueError("batch_sizes must be positive, non-increasing and "
-                         "sum to the number of score rows")
+                         "sum to the number of packed rows")
     return sizes
 
 
-def _links(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def pack(lengths) -> tuple[np.ndarray, np.ndarray]:
+    """(batch_sizes, rows) of sentences with these token counts, laid out
+    longest first with ties in their given order: ``rows[k]`` is the
+    packed row of the k-th token of the sentences concatenated in order."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    rank = np.empty_like(lengths)
+    rank[np.argsort(-lengths, kind="stable")] = np.arange(len(lengths))
+    batch_sizes = np.count_nonzero(lengths > np.arange(lengths.max())[:, None],
+                                   axis=1)
+    starts = np.concatenate([[0], np.cumsum(batch_sizes)])
+    rows = np.concatenate([starts[:n] + r for n, r in zip(lengths, rank)])
+    return batch_sizes, rows
+
+
+def links(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(predecessor rows, successor rows) of every adjacent token pair."""
     successors = np.arange(sizes[0], sizes.sum())
     return successors - np.repeat(sizes[:-1], sizes[1:]), successors
+
+
+def reversed_rows(sizes: np.ndarray) -> np.ndarray:
+    """The packed-row permutation that reverses every sentence; the reversed
+    sentences keep ``sizes``, and the permutation is its own inverse."""
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    position = np.repeat(np.arange(len(sizes)), sizes)
+    sentence = np.arange(sizes.sum()) - np.repeat(starts, sizes)
+    lengths = np.count_nonzero(sizes[:, None] > np.arange(sizes[0]), axis=0)
+    return starts[lengths[sentence] - 1 - position] + sentence
 
 
 def sequence_score(
@@ -62,11 +89,11 @@ def sequence_score(
     batch_sizes=None,
 ) -> float:
     """Unnormalized log score of one label sequence per sentence, summed."""
-    sizes = _batch_sizes(scores, transitions, batch_sizes)
+    sizes = _check(scores, transitions, batch_sizes)
     labels = np.asarray(labels)
     if labels.shape != scores.shape[:1]:
         raise ValueError("label sequence length does not match scores")
-    pred, succ = _links(sizes)
+    pred, succ = links(sizes)
     total = float(np.sum(scores[np.arange(len(labels)), labels]))
     total += float(np.sum(transitions[labels[pred], labels[succ]]))
     return total
@@ -88,7 +115,7 @@ def forward_backward(
     (``[T-1, L, L]`` for one sentence): pairwise[k, i, j] is label i at
     the predecessor followed by label j.
     """
-    sizes = _batch_sizes(scores, transitions, batch_sizes)
+    sizes = _check(scores, transitions, batch_sizes)
     counts = sizes.tolist()
     starts = np.concatenate([[0], np.cumsum(sizes)]).tolist()
     alphas = np.empty_like(scores)
@@ -106,7 +133,7 @@ def forward_backward(
             axis=2,
         )
     N = scores.shape[0]
-    pred, succ = _links(sizes)
+    pred, succ = links(sizes)
     sentence = np.arange(N) - np.repeat(starts[:-1], sizes)
     last = np.ones(N, dtype=bool)
     last[pred] = False
@@ -135,7 +162,7 @@ def nll_and_gradients(
     nll = log_z - sequence_score(scores, transitions, gold, batch_sizes)
     unary[np.arange(len(gold)), gold] -= 1.0
     L = transitions.shape[0]
-    pred, succ = _links(_batch_sizes(scores, transitions, batch_sizes))
+    pred, succ = links(_check(scores, transitions, batch_sizes))
     d_trans = pairwise.sum(axis=0)
     d_trans -= np.bincount(gold[pred] * L + gold[succ], minlength=L * L).reshape(L, L)
     return nll, unary, d_trans

@@ -10,7 +10,6 @@ test-time features are dropped, never grown into the model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -136,15 +135,7 @@ class _Packed:
 
 def _pack(indexed_batch: list[tuple[list[np.ndarray], np.ndarray]]) -> _Packed:
     """Lay out indexed sentences longest first; ties keep their order."""
-    lengths = np.array([len(gold) for _, gold in indexed_batch])
-    rank = np.empty_like(lengths)
-    rank[np.argsort(-lengths, kind="stable")] = np.arange(len(lengths))
-    positions = np.arange(lengths.max())
-    batch_sizes = np.count_nonzero(lengths > positions[:, None], axis=1)
-    starts = np.concatenate([[0], np.cumsum(batch_sizes)])
-    token_rows = np.concatenate(
-        [starts[: len(gold)] + rank[b] for b, (_, gold) in enumerate(indexed_batch)]
-    )
+    batch_sizes, token_rows = chain.pack([len(gold) for _, gold in indexed_batch])
     gold = np.empty(len(token_rows), dtype=np.intp)
     gold[token_rows] = np.concatenate([g for _, g in indexed_batch])
     rows, features = _flat_pairs(
@@ -168,21 +159,18 @@ def _batch_nll_grad(
     return value, grad
 
 
-def _index_batch(
-    model: CrfModel, batch: Iterable[tuple[list[list[str]], list[str]]]
-) -> list[tuple[list[np.ndarray], np.ndarray]]:
-    indexed_batch = []
-    for token_features, tags in batch:
-        if not token_features:
-            raise ValueError("batch contains an empty sentence")
-        if len(token_features) != len(tags):
-            raise ValueError("feature/tag length mismatch")
-        try:
-            gold = np.array([model.label_index[t] for t in tags], dtype=np.intp)
-        except KeyError as err:
-            raise ValueError(f"unknown label in gold tags: {err}") from None
-        indexed_batch.append((model.index_tokens(token_features), gold))
-    return indexed_batch
+def _gold(model: CrfModel, indexed: list[np.ndarray], tags: list[str]
+          ) -> tuple[list[np.ndarray], np.ndarray]:
+    """An indexed sentence with its gold label indices, checked."""
+    if not indexed:
+        raise ValueError("batch contains an empty sentence")
+    if len(indexed) != len(tags):
+        raise ValueError("feature/tag length mismatch")
+    try:
+        gold = np.array([model.label_index[t] for t in tags], dtype=np.intp)
+    except KeyError as err:
+        raise ValueError(f"unknown label in gold tags: {err}") from None
+    return indexed, gold
 
 
 def nll_and_gradient(
@@ -201,23 +189,32 @@ def nll_and_gradient(
         raise ValueError("empty batch")
     F, L = len(model.feature_index), len(model.label_set)
     w = _flatten(model.state_weights, model.transition_weights)
-    value, grad = _batch_nll_grad(
-        w, _pack(_index_batch(model, batch)), F, L, config.l2_coefficient
-    )
+    packed = _pack([_gold(model, model.index_tokens(token_features), tags)
+                    for token_features, tags in batch])
+    value, grad = _batch_nll_grad(w, packed, F, L, config.l2_coefficient)
     value += config.l1_coefficient * float(np.abs(w).sum())
     return value, grad
 
 
 def build_feature_index(
     sentences: list[TaggedSentence], window: int = DEFAULT_WINDOW
-) -> dict[str, int]:
+) -> tuple[dict[str, int], list[list[np.ndarray]]]:
+    """The training features in first-seen order, and every sentence's
+    tokens indexed by them, from one feature extraction per sentence: each
+    sentence is indexed as soon as its features join the shared index, so
+    the whole corpus's feature strings are never held at once."""
     index: dict[str, int] = {}
+    # index_tokens is the one indexer of training and tagging; this model
+    # shares the growing index, and its weights are never read
+    indexer = CrfModel([], index, np.zeros((0, 0)), np.zeros((0, 0)), window)
+    indexed = []
     for ts in sentences:
-        for feats in sentence_features(Sentence(ts.tokens), window):
+        token_features = sentence_features(Sentence(ts.tokens), window)
+        for feats in token_features:
             for f in feats:
-                if f not in index:
-                    index[f] = len(index)
-    return index
+                index.setdefault(f, len(index))
+        indexed.append(indexer.index_tokens(token_features))
+    return index, indexed
 
 
 def train(
@@ -235,14 +232,11 @@ def train(
         raise ValueError("no training sentences")
     config = config or TrainConfig()
     labels = list(label_set) if label_set else list(iob.TAGS)
-    feature_index = build_feature_index(sentences, config.window)
+    feature_index, indexed = build_feature_index(sentences, config.window)
     model = make_zero_model(labels, feature_index, config.window)
-    # Each sentence is indexed as its features are extracted, so the
-    # feature strings of the whole corpus are never held at once.
-    batch = _pack(_index_batch(model, (
-        (sentence_features(Sentence(ts.tokens), config.window), ts.tags)
-        for ts in sentences
-    )))
+    batch = _pack([_gold(model, tokens, ts.tags)
+                   for tokens, ts in zip(indexed, sentences)])
+    del indexed  # the packed arrays hold the same indices
     F, L = len(feature_index), len(labels)
 
     def objective(w: np.ndarray) -> tuple[float, np.ndarray]:

@@ -122,12 +122,11 @@ def _crf_payload(model: CrfModel) -> tuple[str, dict, list]:
 
 
 def _cell_arrays(prefix: str, cell: LstmCell) -> list[tuple[str, np.ndarray]]:
-    arrays = []
-    for gate in GATES:
-        arrays.append((f"{prefix}.W_{gate}", cell.W[gate]))
-        arrays.append((f"{prefix}.U_{gate}", cell.U[gate]))
-        arrays.append((f"{prefix}.b_{gate}", cell.b[gate]))
-    return arrays
+    """The fused weights' gate row blocks, stored as one array each."""
+    H = cell.hidden_dim
+    return [(f"{prefix}.{name}_{gate}", weights[k * H : (k + 1) * H])
+            for k, gate in enumerate(GATES)
+            for name, weights in cell.parameters().items()]
 
 
 def _tagger_payload(tagger: BiLstmTagger) -> tuple[str, dict, list]:
@@ -168,9 +167,8 @@ def save_model(model: CrfModel | BiLstmTagger, path: str | Path) -> None:
 
 def _load_cell(prefix: str, arrays: dict, input_dim: int,
                hidden_dim: int) -> LstmCell:
-    W = {g: arrays[f"{prefix}.W_{g}"] for g in GATES}
-    U = {g: arrays[f"{prefix}.U_{g}"] for g in GATES}
-    b = {g: arrays[f"{prefix}.b_{g}"] for g in GATES}
+    W, U, b = (np.concatenate([arrays[f"{prefix}.{name}_{g}"] for g in GATES])
+               for name in "WUb")
     return LstmCell(input_dim, hidden_dim, W, U, b)
 
 
@@ -238,10 +236,11 @@ def load_model(path: str | Path) -> CrfModel | BiLstmTagger:
         raise ModelFormatError(f"corrupt model header: no array {err}") from None
     except ValueError as err:  # shapes, duplicate names, non-finite weights
         raise ModelFormatError(f"invalid {kind} model: {err}") from None
-    # The constructors check every array's shape; the names and the kind
-    # must be those that saving the model would write.
+    # The kind and the arrays' names and shapes must be those that saving
+    # the model would write.
     saved_kind, _, saved = _payload(model)
-    if saved_kind != kind or [name for name, _ in saved] != list(arrays):
+    if saved_kind != kind or [(name, a.shape) for name, a in saved] != [
+            (name, a.shape) for name, a in arrays.items()]:
         raise ModelFormatError(f"corrupt model header: the arrays do not "
                                f"match a {kind} model")
     return model

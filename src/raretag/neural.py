@@ -1,8 +1,9 @@
 """BiLSTM sequence tagger with a per-token softmax head or a CRF head.
 
-Everything runs in float64 on the CPU with sentences unrolled at their
-natural length (no padding), which keeps the arithmetic exact enough for
-finite-difference gradient checks. Training is Adam with bias correction,
+Everything runs in float64 on the CPU, exact enough for finite-difference
+gradient checks. Losses run ``PASS_SENTENCES`` sentences per pass in
+``chain``'s packed layout (no padding); tagging runs one sentence at a
+time through the same code. Training is Adam with bias correction,
 global-norm gradient clipping and patience-based early stopping on the
 validation loss; given a fixed seed a run is fully deterministic.
 """
@@ -25,6 +26,9 @@ from .tokenizer import Token
 
 HEAD_SOFTMAX = "softmax"
 HEAD_CRF = "crf"
+# Sentences per packed pass: bounds the LSTM caches held at once, which a
+# whole validation split in one pass would make the peak memory of training.
+PASS_SENTENCES = 32
 
 
 @dataclass
@@ -73,6 +77,11 @@ class BiLstmTagger:
         if self.head_kind == HEAD_CRF:
             if self.transitions is None or self.transitions.shape != (L, L):
                 raise ValueError("CRF head requires a [L, L] transition matrix")
+        weights = [self.embedding.matrix, self.head_W, self.head_b]
+        if self.transitions is not None:
+            weights.append(self.transitions)
+        if not all(np.isfinite(w).all() for w in weights):
+            raise ValueError("model weights must be finite")
         self.label_index = {lab: i for i, lab in enumerate(self.label_set)}
 
     @property
@@ -85,10 +94,8 @@ class BiLstmTagger:
         if self.embedding_trainable:
             params["embedding"] = self.embedding.matrix
         for prefix, cell in (("fw", self.forward_cell), ("bw", self.backward_cell)):
-            for gate in "ifog":
-                params[f"{prefix}.W_{gate}"] = cell.W[gate]
-                params[f"{prefix}.U_{gate}"] = cell.U[gate]
-                params[f"{prefix}.b_{gate}"] = cell.b[gate]
+            for key, value in cell.parameters().items():
+                params[f"{prefix}.{key}"] = value
         params["head.W"] = self.head_W
         params["head.b"] = self.head_b
         if self.transitions is not None:
@@ -139,29 +146,29 @@ def build_tagger(
     )
 
 
-def _embed(tagger: BiLstmTagger, tokens: list[Token]) -> tuple[np.ndarray, list[int]]:
+def _embed(tagger: BiLstmTagger, tokens: list[Token]) -> tuple[np.ndarray, np.ndarray]:
     """Input matrix [T, dim] and per-token row index (-1 for OOV)."""
     vocab = tagger.embedding.vocab
-    rows = []
-    X = np.empty((len(tokens), tagger.embedding.dim))
-    for t, tok in enumerate(tokens):
-        row = vocab.get(tok.surface)
-        if row is None:
-            row = vocab.get(tok.surface.lower())
-        rows.append(-1 if row is None else row)
-        X[t] = tagger.embedding.lookup(tok.surface)
-    return X, rows
+    rows = [vocab.get(t.surface, vocab.get(t.surface.lower(), -1)) for t in tokens]
+    X = np.array([tagger.embedding.lookup(t.surface) for t in tokens])
+    return X, np.array(rows, dtype=np.intp)
 
 
-def _forward_raw(tagger: BiLstmTagger, tokens: list[Token]):
+def _forward(tagger: BiLstmTagger, X: np.ndarray, batch_sizes, reverse):
+    """Raw label scores [N, L] of packed input rows; ``reverse`` indexes
+    the rows with every sentence reversed (``chain.reversed_rows``)."""
+    hs_f, cache_f = run_sequence(tagger.forward_cell, X, batch_sizes)
+    hs_b, cache_b = run_sequence(tagger.backward_cell, X[reverse], batch_sizes)
+    H = np.hstack([hs_f, hs_b[reverse]])  # [N, 2*hidden]
+    return H @ tagger.head_W.T + tagger.head_b, (cache_f, cache_b, H)
+
+
+def _sentence_scores(tagger: BiLstmTagger, tokens: list[Token]) -> np.ndarray:
     if not tokens:
         raise ValueError("cannot run the tagger on an empty sentence")
-    X, rows = _embed(tagger, tokens)
-    hs_f, caches_f = run_sequence(tagger.forward_cell, X)
-    hs_b, caches_b = run_sequence(tagger.backward_cell, X, reverse=True)
-    H = np.hstack([hs_f, hs_b])  # [T, 2*hidden]
-    raw = H @ tagger.head_W.T + tagger.head_b  # [T, L]
-    return raw, (X, rows, caches_f, caches_b, H)
+    X, _ = _embed(tagger, tokens)
+    raw, _ = _forward(tagger, X, None, slice(None, None, -1))
+    return raw
 
 
 def _softmax_rows(raw: np.ndarray) -> np.ndarray:
@@ -172,15 +179,8 @@ def _softmax_rows(raw: np.ndarray) -> np.ndarray:
 
 def forward_sentence(tagger: BiLstmTagger, tokens: list[Token]) -> np.ndarray:
     """Per-token label scores [T, L]; softmax head rows are normalized."""
-    raw, _ = _forward_raw(tagger, tokens)
+    raw = _sentence_scores(tagger, tokens)
     return _softmax_rows(raw) if tagger.head_kind == HEAD_SOFTMAX else raw
-
-
-def _gold_indices(tagger: BiLstmTagger, ts: TaggedSentence) -> np.ndarray:
-    try:
-        return np.array([tagger.label_index[t] for t in ts.tags], dtype=np.intp)
-    except KeyError as err:
-        raise ValueError(f"unknown label in gold tags: {err}") from None
 
 
 def loss(tagger: BiLstmTagger, batch: list[TaggedSentence]) -> float:
@@ -199,60 +199,63 @@ def loss_and_gradients(
 def _loss_impl(tagger, batch, want_grads):
     if not batch:
         raise ValueError("empty batch")
-    L = len(tagger.label_set)
-    grads: dict[str, np.ndarray] = {}
-    if want_grads:
-        grads = {k: np.zeros_like(v) for k, v in tagger.parameters().items()}
-    total_tokens = sum(len(ts.tokens) for ts in batch)
-    denom = total_tokens if tagger.head_kind == HEAD_SOFTMAX else len(batch)
-    total = 0.0
-    for ts in batch:
-        gold = _gold_indices(tagger, ts)
-        raw, cache = _forward_raw(tagger, ts.tokens)
-        T = raw.shape[0]
-        if tagger.head_kind == HEAD_SOFTMAX:
-            probs = _softmax_rows(raw)
-            picked = probs[np.arange(T), gold]
-            total += float(-np.log(picked).sum())
-            if want_grads:
-                d_raw = probs.copy()
-                d_raw[np.arange(T), gold] -= 1.0
-                d_raw /= denom
-        else:
-            nll, d_raw, d_trans = chain.nll_and_gradients(raw, tagger.transitions, gold)
-            total += nll
-            if want_grads:
-                d_raw /= denom
-                grads["transitions"] += d_trans / denom
-        if want_grads:
-            _backprop_sentence(tagger, cache, d_raw, grads)
+    grads = ({k: np.zeros_like(v) for k, v in tagger.parameters().items()}
+             if want_grads else None)
+    denom = (sum(len(ts.tokens) for ts in batch)
+             if tagger.head_kind == HEAD_SOFTMAX else len(batch))
+    total = sum(_pass_loss(tagger, batch[start : start + PASS_SENTENCES],
+                           denom, grads)
+                for start in range(0, len(batch), PASS_SENTENCES))
     value = total / denom
     if not math.isfinite(value):
         raise FloatingPointError(f"non-finite loss {value!r}")
     return value, grads
 
 
-def _backprop_sentence(tagger, cache, d_raw, grads):
-    X, rows, caches_f, caches_b, H = cache
-    hidden = tagger.hidden_dim
+def _pass_loss(tagger, sentences, denom, grads) -> float:
+    """Summed loss of sentences run as one packed pass; adds the gradients
+    of that sum divided by ``denom`` into ``grads`` unless it is None."""
+    if not all(ts.tokens for ts in sentences):
+        raise ValueError("cannot run the tagger on an empty sentence")
+    sizes, order = chain.pack([len(ts.tokens) for ts in sentences])
+    token = np.argsort(order)  # packed row -> token of the concatenation
+    X, rows = _embed(tagger, [tok for ts in sentences for tok in ts.tokens])
+    X, rows = X[token], rows[token]
+    try:
+        gold = np.array([tagger.label_index[t] for ts in sentences
+                         for t in ts.tags], dtype=np.intp)[token]
+    except KeyError as err:
+        raise ValueError(f"unknown label in gold tags: {err}") from None
+    reverse = chain.reversed_rows(sizes)
+    raw, (cache_f, cache_b, H) = _forward(tagger, X, sizes, reverse)
+    if tagger.head_kind == HEAD_SOFTMAX:
+        d_raw = _softmax_rows(raw)
+        picked = np.arange(len(gold)), gold
+        value = float(-np.log(d_raw[picked]).sum())
+        d_raw[picked] -= 1.0
+    else:
+        value, d_raw, d_trans = chain.nll_and_gradients(
+            raw, tagger.transitions, gold, sizes)
+    if grads is None:
+        return value
+    if tagger.head_kind == HEAD_CRF:
+        grads["transitions"] += d_trans / denom
+    d_raw /= denom
     grads["head.W"] += d_raw.T @ H
     grads["head.b"] += d_raw.sum(axis=0)
-    dH = d_raw @ tagger.head_W  # [T, 2*hidden]
-    cell_grads_f, dX_f = backprop_sequence(
-        tagger.forward_cell, caches_f, dH[:, :hidden]
-    )
-    cell_grads_b, dX_b = backprop_sequence(
-        tagger.backward_cell, caches_b, dH[:, hidden:], reverse=True
-    )
-    for key, grad in cell_grads_f.items():
-        grads[f"fw.{key}"] += grad
-    for key, grad in cell_grads_b.items():
-        grads[f"bw.{key}"] += grad
+    dH = d_raw @ tagger.head_W  # [N, 2*hidden]
+    hidden = tagger.hidden_dim
+    grads_f, dX = backprop_sequence(tagger.forward_cell, cache_f, dH[:, :hidden])
+    grads_b, dX_b = backprop_sequence(tagger.backward_cell, cache_b,
+                                      dH[reverse, hidden:])
+    for key in grads_f:
+        grads[f"fw.{key}"] += grads_f[key]
+        grads[f"bw.{key}"] += grads_b[key]
     if tagger.embedding_trainable:
-        dX = dX_f + dX_b
-        for t, row in enumerate(rows):
-            if row >= 0:
-                grads["embedding"][row] += dX[t]
+        dX += dX_b[reverse]
+        known = rows >= 0
+        np.add.at(grads["embedding"], rows[known], dX[known])
+    return value
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -326,15 +329,6 @@ class FitHistory:
         return buf.getvalue()
 
 
-def _snapshot(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: v.copy() for k, v in params.items()}
-
-
-def _restore(params: dict[str, np.ndarray], snap: dict[str, np.ndarray]) -> None:
-    for k, v in params.items():
-        v[...] = snap[k]
-
-
 def fit(
     tagger: BiLstmTagger,
     train: list[TaggedSentence],
@@ -355,7 +349,7 @@ def fit(
     stopper = EarlyStopping(config.patience)
     rng = np.random.default_rng(config.seed)
     history = FitHistory()
-    best_params = _snapshot(params)
+    best_params = {k: v.copy() for k, v in params.items()}
 
     order = np.arange(len(train))
     for epoch in range(1, config.max_epochs + 1):
@@ -386,14 +380,15 @@ def fit(
         improved = val_loss < stopper.best
         stop = stopper.update(epoch, val_loss)
         if improved:
-            best_params = _snapshot(params)
+            best_params = {k: v.copy() for k, v in params.items()}
         if progress is not None:
             progress(epoch, train_loss, val_loss)
         if stop:
             break
     history.best_epoch = stopper.best_epoch
     history.stopped_epoch = history.epochs[-1] if history.epochs else 0
-    _restore(params, best_params)
+    for k, v in params.items():
+        v[...] = best_params[k]
     return tagger, history
 
 
@@ -406,7 +401,7 @@ def predict(
     (ties go to the lower label index), or with constraints the most
     probable IOB2-valid sequence, as each token's normalizer is constant.
     """
-    raw, _ = _forward_raw(tagger, tokens)
+    raw = _sentence_scores(tagger, tokens)
     L = len(tagger.label_set)
     transitions = np.zeros((L, L)) if tagger.transitions is None else tagger.transitions
     return decode(raw, transitions, tagger.label_set, constrained)

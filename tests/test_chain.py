@@ -216,6 +216,19 @@ class TestPacked:
             assert max_relative_error(
                 d_trans, central_difference_gradient(nll, trans)) < 1e-6
 
+    def test_pack_and_reversal_match_reference_layout(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            lengths = rng.integers(1, 7, size=rng.integers(1, 9)).tolist()
+            sizes, rows = chain.pack(lengths)
+            ref_sizes, row_of = pack([np.zeros((n, 1)) for n in lengths])
+            assert sizes.tolist() == ref_sizes
+            tokens = [(b, t) for b, n in enumerate(lengths) for t in range(n)]
+            assert rows.tolist() == [row_of[b, t] for b, t in tokens]
+            reverse = chain.reversed_rows(sizes)
+            assert [reverse[row_of[b, t]] for b, t in tokens] == [
+                row_of[b, lengths[b] - 1 - t] for b, t in tokens]
+
     @pytest.mark.parametrize("sizes", [[1, 2], [2, 0], [2], [3, 1, 1]])
     def test_invalid_batch_sizes_rejected(self, sizes):
         with pytest.raises(ValueError, match="batch_sizes"):

@@ -242,3 +242,28 @@ class TestTrain:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             crf.train([], TrainConfig())
+
+    def test_features_extracted_once_per_sentence(self, monkeypatch):
+        corpus = toy_corpus(seed=9, size=12)
+        calls = []
+
+        def counted(sentence, window):
+            calls.append(sentence)
+            return sentence_features(sentence, window)
+
+        monkeypatch.setattr(crf, "sentence_features", counted)
+        model, _ = crf.train(corpus, TrainConfig(max_iterations=0))
+        assert len(calls) == len(corpus)
+        first_seen = {}
+        for ts in corpus:
+            for feats in sentence_features(Sentence(ts.tokens)):
+                for f in feats:
+                    first_seen.setdefault(f, len(first_seen))
+        assert list(model.feature_index.items()) == list(first_seen.items())
+
+    def test_training_sentence_checks(self):
+        with pytest.raises(ValueError, match="empty sentence"):
+            crf.train([make_tagged([], [])], TrainConfig(max_iterations=0))
+        with pytest.raises(ValueError, match="unknown label"):
+            crf.train([make_tagged(["a"], ["B-NOPE"])],
+                      TrainConfig(max_iterations=0))

@@ -1,10 +1,12 @@
+import json
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from toy import toy_corpus
+from toy import make_tagged, toy_corpus
 from raretag import cli, crf, model_io, neural
 from raretag.conll import ConllSentence, write_conll
 from raretag.crf import TrainConfig
@@ -19,6 +21,12 @@ from raretag.model_io import (
     save_model,
 )
 from raretag.tokenizer import Sentence
+
+
+DATA = Path(__file__).parent / "data"
+# A BiLSTM-CRF written by the per-gate LSTM implementation, with its text
+# dump and the label scores it gave three sentences (float hex).
+V1_MODEL = DATA / "bilstm-crf-v1.model"
 
 
 def trained_crf():
@@ -223,3 +231,51 @@ class TestFormat:
         path2 = tmp_path / "model2.bin"
         save_model(model, path2)
         assert dump_text(path2) == text
+
+
+class TestStoredTagger:
+    def test_loads_and_saves_byte_identical(self, tmp_path):
+        model = load_model(V1_MODEL)
+        path = tmp_path / "again.model"
+        save_model(model, path)
+        assert path.read_bytes() == V1_MODEL.read_bytes()
+        expected = (DATA / "bilstm-crf-v1.dump.txt").read_text(encoding="utf-8")
+        assert dump_text(V1_MODEL) == expected
+        assert dump_text(path) == expected
+
+    def test_scores_and_tags_unchanged(self):
+        model = load_model(V1_MODEL)
+        cases = json.loads((DATA / "bilstm-crf-v1.scores.json").read_text())
+        for case in cases:
+            tokens = make_tagged(case["words"], ["O"] * len(case["words"])).tokens
+            expected = np.array([[float.fromhex(v) for v in row]
+                                 for row in case["scores"]])
+            scores = neural.forward_sentence(model, tokens)
+            assert np.max(np.abs(scores - expected)) < 1e-12
+            assert neural.predict(model, tokens) == case["tags"]
+
+    @pytest.mark.parametrize("name", ["fw.W_i", "bw.U_g", "fw.b_f", "head.W",
+                                      "head.b", "transitions", "embedding.matrix"])
+    def test_non_finite_weight_is_a_format_error(self, tmp_path, capsys, name):
+        kind, meta, arrays = model_io._unpack(V1_MODEL.read_bytes())
+        arrays[name].flat[0] = np.nan if name != "head.b" else np.inf
+        path = tmp_path / "model.bin"
+        path.write_bytes(model_io._pack(kind, meta, list(arrays.items())))
+        with pytest.raises(ModelFormatError, match="finite"):
+            load_model(path)
+        gold = tmp_path / "gold.conll"
+        gold.write_text(write_conll([
+            ConllSentence("d", Sentence(ts.tokens), ts.tags)
+            for ts in toy_corpus(seed=83, size=3)]))
+        assert cli.main(["evaluate", str(path), str(gold)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_misshapen_gate_block_is_a_format_error(self, tmp_path):
+        # W_i one row short and W_f one row long still stack to [4H, D]
+        kind, meta, arrays = model_io._unpack(V1_MODEL.read_bytes())
+        arrays["fw.W_f"] = np.vstack([arrays["fw.W_i"][-1:], arrays["fw.W_f"]])
+        arrays["fw.W_i"] = arrays["fw.W_i"][:-1]
+        path = tmp_path / "model.bin"
+        path.write_bytes(model_io._pack(kind, meta, list(arrays.items())))
+        with pytest.raises(ModelFormatError, match="arrays"):
+            load_model(path)

@@ -127,6 +127,44 @@ class TestLoss:
             assert err < 1e-3, f"{name}: {err}"
 
 
+class TestPackedPasses:
+    @pytest.mark.parametrize("head_kind", [HEAD_SOFTMAX, HEAD_CRF])
+    def test_batch_equals_weighted_sum_of_sentences(self, head_kind):
+        corpus = toy_corpus(seed=71, size=45)
+        assert len(corpus) > neural.PASS_SENTENCES
+        tagger, _ = small_tagger(head_kind, seed=71, hidden=4, dim=5,
+                                 corpus=corpus)
+        value, grads = loss_and_gradients(tagger, corpus)
+        weights = np.array([len(ts.tokens) if head_kind == HEAD_SOFTMAX else 1
+                            for ts in corpus], dtype=float)
+        weights /= weights.sum()
+        expected_value = 0.0
+        expected = {name: np.zeros_like(g) for name, g in grads.items()}
+        for ts, weight in zip(corpus, weights):
+            one_value, one_grads = loss_and_gradients(tagger, [ts])
+            expected_value += weight * one_value
+            for name, g in one_grads.items():
+                expected[name] += weight * g
+        assert value == pytest.approx(expected_value, rel=1e-12)
+        for name, g in grads.items():
+            assert np.max(np.abs(g - expected[name])) < 1e-12, name
+
+    def test_empty_sentence_in_batch_rejected(self):
+        tagger, corpus = small_tagger(HEAD_CRF)
+        with pytest.raises(ValueError, match="empty sentence"):
+            loss(tagger, corpus + [make_tagged([], [])])
+
+    @pytest.mark.parametrize("name", ["head_W", "head_b", "transitions"])
+    def test_non_finite_weights_rejected(self, name):
+        tagger, _ = small_tagger(HEAD_CRF)
+        fields = dict(vars(tagger))
+        del fields["label_index"]
+        fields[name] = fields[name].copy()
+        fields[name].flat[0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            BiLstmTagger(**fields)
+
+
 class TestFit:
     def test_early_stopping_trace(self):
         stopper = EarlyStopping(patience=4)
