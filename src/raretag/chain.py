@@ -6,19 +6,26 @@ natural-log space with the log-sum-exp trick, so they stay stable for
 score magnitudes up to about 1e3. Shared by the feature-based CRF and the
 neural CRF output head.
 
-``forward_backward``, ``nll_and_gradients`` and ``sequence_score`` score a
-batch of sentences in one packed, time-major layout (PyTorch's
-``PackedSequence`` convention): sentences are sorted longest first, and
-the rows of position t are one contiguous block of ``batch_sizes[t]``
-sentences, in the same order in every block. ``batch_sizes=None`` means
-one sentence of N tokens, the only form ``log_partition`` and ``viterbi``
-take. ``pack``, ``links`` and ``reversed_rows`` build and read this
-layout for the CRF objective and the BiLSTM alike.
+``forward_backward``, ``nll_and_gradients``, ``sequence_score`` and
+``viterbi`` score or decode a batch of sentences in one packed, time-major
+layout (PyTorch's ``PackedSequence`` convention): sentences are sorted
+longest first, and the rows of position t are one contiguous block of
+``batch_sizes[t]`` sentences, in the same order in every block.
+``batch_sizes=None`` means one sentence of N tokens, on the same code
+path; it is the only form ``log_partition`` takes. ``pack``, ``links`` and
+``reversed_rows`` build and read this layout, and ``passes`` cuts a corpus
+into the ``PASS_SENTENCES``-sentence passes that the BiLSTM losses and
+both taggers run.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Sentences per packed pass of BiLSTM losses and of tagging: bounds the
+# arrays that one pass holds, which over a whole corpus (or a whole
+# validation split, with the LSTM caches) would set the peak memory.
+PASS_SENTENCES = 32
 
 
 def logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
@@ -66,6 +73,12 @@ def pack(lengths) -> tuple[np.ndarray, np.ndarray]:
     starts = np.concatenate([[0], np.cumsum(batch_sizes)])
     rows = np.concatenate([starts[:n] + r for n, r in zip(lengths, rank)])
     return batch_sizes, rows
+
+
+def passes(sentences: list) -> list[list]:
+    """Consecutive slices of at most ``PASS_SENTENCES`` sentences."""
+    return [sentences[start : start + PASS_SENTENCES]
+            for start in range(0, len(sentences), PASS_SENTENCES)]
 
 
 def links(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,30 +186,35 @@ def viterbi(
     transitions: np.ndarray,
     start_mask: np.ndarray | None = None,
     transition_mask: np.ndarray | None = None,
+    batch_sizes=None,
 ) -> list[int]:
-    """Exact argmax label sequence; ties break toward the lower label index.
+    """The label of every packed row on its sentence's exact argmax label
+    sequence; ties break toward the lower label index.
 
-    Optional boolean masks forbid labels at the first position
+    Optional boolean masks forbid labels at a sentence's first position
     (``start_mask``) or label-to-label moves (``transition_mask``);
     forbidden entries score -inf.
     """
-    _check(scores, transitions)
-    T, L = scores.shape
+    sizes = _check(scores, transitions, batch_sizes)
+    counts = sizes.tolist()
+    starts = np.concatenate([[0], np.cumsum(sizes)]).tolist()
     trans = transitions.copy()
     if transition_mask is not None:
         trans[~transition_mask] = -np.inf
-    delta = scores[0].copy()
+    delta = scores.copy()  # best score of a path ending in each row, label
     if start_mask is not None:
-        delta[~start_mask] = -np.inf
-    backpointers = np.zeros((T, L), dtype=np.intp)
-    for t in range(1, T):
-        candidate = delta[:, None] + trans
-        backpointers[t] = np.argmax(candidate, axis=0)
-        delta = scores[t] + candidate[backpointers[t], np.arange(L)]
-    best = int(np.argmax(delta))
-    path = [best]
-    for t in range(T - 1, 0, -1):
-        best = int(backpointers[t][best])
-        path.append(best)
-    path.reverse()
-    return path
+        delta[: counts[0], ~start_mask] = -np.inf
+    backpointers = np.zeros(scores.shape, dtype=np.intp)
+    for t in range(1, len(counts)):
+        n, prev, cur = counts[t], starts[t - 1], starts[t]
+        candidate = delta[prev : prev + n, :, None] + trans
+        backpointers[cur : cur + n] = candidate.argmax(axis=1)
+        delta[cur : cur + n] += candidate.max(axis=1)
+    # the best last label where a sentence ends; the backtrack overwrites
+    # every row whose sentence runs on
+    path = delta.argmax(axis=1)
+    for t in range(len(counts) - 1, 0, -1):
+        n, prev, cur = counts[t], starts[t - 1], starts[t]
+        path[prev : prev + n] = backpointers[np.arange(cur, cur + n),
+                                             path[cur : cur + n]]
+    return path.tolist()

@@ -2,9 +2,11 @@
 
 Training is configured by a flat ``key = value`` text file (``#`` starts a
 comment); unknown keys and keys that do not apply to the chosen model
-kind are rejected before any work starts. All outputs are UTF-8 and model
-files are written atomically. The ``RARETAG_CONFIG_DIR`` environment
-variable provides a default directory for relative config paths.
+kind are rejected before any work starts. All outputs are UTF-8 and
+every file is written atomically. The ``RARETAG_CONFIG_DIR`` environment
+variable provides a default directory for relative config paths. The
+numpy-backed modules are imported by the commands that use them, so
+``convert`` and ``gen-synthetic`` start without numpy.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import sys
 import time
 from pathlib import Path
 
-from . import brat, conll, crf, embeddings, iob, metrics, model_io, neural, synthetic
+from . import brat, conll, iob, metrics, synthetic
+from .atomic import atomic_write_text
 from .iob import TaggedSentence
-from .lbfgs import LineSearchError
-from .tokenizer import Sentence, tokenize_document
+from .tokenizer import tokenize_document
 
 CONFIG_DIR_ENV = "RARETAG_CONFIG_DIR"
 
@@ -168,16 +170,6 @@ def _check_labels(items, label_set: list[str], path) -> None:
         )
 
 
-def _predict_sentences(model, items, constrained: bool) -> list[list[str]]:
-    preds = []
-    for item in items:
-        if isinstance(model, crf.CrfModel):
-            preds.append(crf.predict_tags(model, item.sentence, constrained))
-        else:
-            preds.append(neural.predict(model, item.sentence.tokens, constrained))
-    return preds
-
-
 # ---------------------------------------------------------------- convert
 
 def cmd_convert(args) -> int:
@@ -205,7 +197,7 @@ def cmd_convert(args) -> int:
                 conll.ConllSentence(doc.doc_id, sentence, tagged.tags)
             )
             sentence_count += 1
-    model_io.atomic_write_text(args.out_conll, conll.write_conll(out_items))
+    atomic_write_text(args.out_conll, conll.write_conll(out_items))
     print(
         f"converted {len(corpus.documents)} documents, {sentence_count} "
         f"sentences; overlaps dropped: {dropped}; discontinuous flattened: "
@@ -216,7 +208,9 @@ def cmd_convert(args) -> int:
 
 # ---------------------------------------------------------------- train
 
-def _build_embedding_source(cfg: dict, train_sents) -> embeddings.EmbeddingTable:
+def _build_embedding_source(cfg: dict, train_sents):
+    from . import embeddings
+
     source = cfg["embedding"]
     policy = cfg.get("oov_policy", "random_seeded")
     seed = cfg.get("seed", 0)
@@ -231,6 +225,8 @@ def _build_embedding_source(cfg: dict, train_sents) -> embeddings.EmbeddingTable
 
 
 def cmd_train(args) -> int:
+    from . import crf, lbfgs, model_io, neural
+
     config_path = _resolve_config_path(args.config)
     cfg = validate_run_config(parse_config(
         config_path.read_text(encoding="utf-8")
@@ -258,7 +254,10 @@ def cmd_train(args) -> int:
             window=cfg.get("window", 2),
         )
         # default hyperparameters: train on train+validation together
-        model, opt = crf.train(train_sents + val_sents, tc)
+        try:
+            model, opt = crf.train(train_sents + val_sents, tc)
+        except lbfgs.LineSearchError as err:
+            raise CliError(str(err)) from None
         final_metrics = {
             "objective": opt.fun,
             "iterations": opt.iterations,
@@ -300,7 +299,7 @@ def cmd_train(args) -> int:
     model_io.save_model(model, model_out)
     if history_csv is not None:
         history_out = Path(cfg.get("history_out", str(model_out) + ".history.csv"))
-        model_io.atomic_write_text(history_out, history_csv)
+        atomic_write_text(history_out, history_csv)
     manifest = {
         "command": "train",
         "config": cfg,
@@ -310,7 +309,7 @@ def cmd_train(args) -> int:
         "model_path": str(model_out),
     }
     manifest_out = Path(cfg.get("manifest_out", str(model_out) + ".manifest.json"))
-    model_io.atomic_write_text(manifest_out, json.dumps(manifest, indent=2) + "\n")
+    atomic_write_text(manifest_out, json.dumps(manifest, indent=2) + "\n")
     print(f"trained {kind} model -> {model_out}")
     return EXIT_OK
 
@@ -318,14 +317,16 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------- predict
 
 def cmd_predict(args) -> int:
+    from . import model_io
+
     model = model_io.load_model(args.model)
     items = _read_tagged_conll(args.in_conll, need_tags=False)
-    preds = _predict_sentences(model, items, args.constrained)
+    preds = model.tag([item.sentence for item in items], args.constrained)
     out_items = [
         conll.ConllSentence(item.doc_id, item.sentence, tags)
         for item, tags in zip(items, preds)
     ]
-    model_io.atomic_write_text(args.out_conll, conll.write_conll(out_items))
+    atomic_write_text(args.out_conll, conll.write_conll(out_items))
     print(f"tagged {len(out_items)} sentences -> {args.out_conll}")
     return EXIT_OK
 
@@ -346,12 +347,14 @@ def _parse_min_flags(pairs: list[str]) -> dict[str, float]:
 
 
 def cmd_evaluate(args) -> int:
+    from . import model_io
+
     model = model_io.load_model(args.model)
     items = _read_tagged_conll(args.conll)
     label_set = model.label_set
     _check_labels(items, label_set, args.conll)
     gold = [item.tags for item in items]
-    preds = _predict_sentences(model, items, args.constrained)
+    preds = model.tag([item.sentence for item in items], args.constrained)
     if args.level == "token":
         report = metrics.token_level(gold, preds)
     else:
@@ -391,6 +394,8 @@ def cmd_gen_synthetic(args) -> int:
 # ---------------------------------------------------------------- dump
 
 def cmd_dump(args) -> int:
+    from . import model_io
+
     sys.stdout.write(model_io.dump_text(args.model))
     return EXIT_OK
 
@@ -460,10 +465,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK  # downstream pager/head closed the stream
-    except (CliError, brat.BratParseError, brat.BratIntegrityError,
-            conll.ConllParseError, metrics.EvalError,
-            model_io.ModelFormatError, embeddings.EmbeddingParseError,
-            LineSearchError, FloatingPointError, FileNotFoundError, ValueError) as err:
+    # every named parse error (Brat, CoNLL, metrics, embeddings, model
+    # files) subclasses ValueError
+    except (CliError, FloatingPointError, FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -88,6 +88,14 @@ class CrfModel:
         rows, features = _flat_pairs(indexed, np.arange(len(indexed)))
         return _gather_sum(self.state_weights, features, rows, len(indexed))
 
+    def tag(self, sentences: list[Sentence],
+            constrained: bool = False) -> list[list[str]]:
+        """Tags of each sentence, decoded in packed passes of at most
+        ``chain.PASS_SENTENCES`` sentences."""
+        return [tags for part in chain.passes(sentences)
+                for tags in viterbi(self, [sentence_features(s, self.window)
+                                           for s in part], constrained)]
+
 
 def make_zero_model(
     label_set: list[str], feature_index: dict[str, int], window: int = DEFAULT_WINDOW
@@ -281,26 +289,30 @@ def iob_decode_masks(label_set: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def decode(scores: np.ndarray, transitions: np.ndarray, label_set: list[str],
-           constrained: bool = False) -> list[str]:
-    """Viterbi labels for [T, L] scores, optionally restricted to IOB2."""
+           lengths: list[int], constrained: bool = False) -> list[list[str]]:
+    """Viterbi labels of sentences with these token counts, decoded as one
+    packed batch from the [N, L] scores of their concatenated tokens,
+    optionally restricted to IOB2."""
     start_mask = trans_mask = None
     if constrained:
         start_mask, trans_mask = iob_decode_masks(label_set)
-    path = chain.viterbi(scores, transitions, start_mask, trans_mask)
-    return [label_set[i] for i in path]
+    batch_sizes, rows = chain.pack(lengths)
+    packed = np.empty_like(scores)
+    packed[rows] = scores
+    path = chain.viterbi(packed, transitions, start_mask, trans_mask, batch_sizes)
+    labels = [label_set[path[row]] for row in rows.tolist()]
+    ends = np.cumsum(lengths).tolist()
+    return [labels[end - n : end] for n, end in zip(lengths, ends)]
 
 
 def viterbi(
-    model: CrfModel, token_features: list[list[str]], constrained: bool = False
-) -> list[str]:
-    """Highest-scoring tag sequence for one sentence's features."""
-    if not token_features:
+    model: CrfModel, sentences: list[list[list[str]]], constrained: bool = False
+) -> list[list[str]]:
+    """Highest-scoring tag sequence of each sentence, given as its tokens'
+    feature strings; the sentences are scored and decoded as one pass."""
+    if not all(sentences):
         raise ValueError("cannot decode an empty sentence")
+    token_features = [feats for sentence in sentences for feats in sentence]
     scores = model.state_scores(model.index_tokens(token_features))
-    return decode(scores, model.transition_weights, model.label_set, constrained)
-
-
-def predict_tags(
-    model: CrfModel, sentence: Sentence, constrained: bool = False
-) -> list[str]:
-    return viterbi(model, sentence_features(sentence, model.window), constrained)
+    return decode(scores, model.transition_weights, model.label_set,
+                  [len(sentence) for sentence in sentences], constrained)

@@ -4,22 +4,20 @@ Layout: magic bytes, uint32 format version, uint64 header length, a JSON
 header (model kind, metadata such as the label set and feature table, and
 one entry per weight array with its section name and shape), then the raw
 array payloads as little-endian float64 in header order. Files are
-written to a unique temp file in the target directory, flushed to disk
-and atomically renamed, so a failed save never leaves a partial model
-behind and concurrent writers never share a temp file.
+written with ``atomic.atomic_write_bytes``, so a failed save never leaves
+a partial model behind and concurrent writers never share a temp file.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import struct
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write_bytes
 from .crf import CrfModel
 from .embeddings import EmbeddingTable
 from .lstm import GATES, LstmCell
@@ -35,31 +33,6 @@ KIND_BILSTM_CRF = "bilstm-crf"
 
 class ModelFormatError(ValueError):
     pass
-
-
-# mkstemp creates its file 0600; give the output the mode open() would.
-_UMASK = os.umask(0)
-os.umask(_UMASK)
-
-
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
-                               dir=path.parent)
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-            f.flush()
-            os.fsync(f.fileno())
-        os.chmod(tmp, 0o666 & ~_UMASK)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def _pack(kind: str, meta: dict, arrays: list[tuple[str, np.ndarray]]) -> bytes:

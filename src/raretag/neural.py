@@ -1,11 +1,13 @@
 """BiLSTM sequence tagger with a per-token softmax head or a CRF head.
 
 Everything runs in float64 on the CPU, exact enough for finite-difference
-gradient checks. Losses run ``PASS_SENTENCES`` sentences per pass in
-``chain``'s packed layout (no padding); tagging runs one sentence at a
-time through the same code. Training is Adam with bias correction,
-global-norm gradient clipping and patience-based early stopping on the
-validation loss; given a fixed seed a run is fully deterministic.
+gradient checks. Losses and tagging run ``chain.PASS_SENTENCES`` sentences
+per pass in ``chain``'s packed layout (no padding), with one embedding
+gather, one recurrence per direction and one head per pass; tagging
+decodes each pass with one Viterbi call. Training is Adam with bias
+correction, global-norm gradient clipping and patience-based early
+stopping on the validation loss; given a fixed seed a run is fully
+deterministic.
 """
 
 from __future__ import annotations
@@ -22,13 +24,10 @@ from .crf import decode
 from .embeddings import EmbeddingTable
 from .iob import TAGS, TaggedSentence
 from .lstm import LstmCell, backprop_sequence, run_sequence
-from .tokenizer import Token
+from .tokenizer import Sentence, Token
 
 HEAD_SOFTMAX = "softmax"
 HEAD_CRF = "crf"
-# Sentences per packed pass: bounds the LSTM caches held at once, which a
-# whole validation split in one pass would make the peak memory of training.
-PASS_SENTENCES = 32
 
 
 @dataclass
@@ -102,6 +101,13 @@ class BiLstmTagger:
             params["transitions"] = self.transitions
         return params
 
+    def tag(self, sentences: list[Sentence],
+            constrained: bool = False) -> list[list[str]]:
+        """Tags of each sentence, run in packed passes of at most
+        ``chain.PASS_SENTENCES`` sentences."""
+        return [tags for part in chain.passes(sentences)
+                for tags in predict(self, [s.tokens for s in part], constrained)]
+
 
 def build_tagger(
     train_sentences: list[TaggedSentence],
@@ -163,12 +169,23 @@ def _forward(tagger: BiLstmTagger, X: np.ndarray, batch_sizes, reverse):
     return H @ tagger.head_W.T + tagger.head_b, (cache_f, cache_b, H)
 
 
-def _sentence_scores(tagger: BiLstmTagger, tokens: list[Token]) -> np.ndarray:
-    if not tokens:
+def _pack_inputs(tagger: BiLstmTagger, sentences: list[list[Token]]):
+    """(batch_sizes, packed row of each token of the concatenated
+    sentences, input rows [N, dim] and their embedding rows, packed)."""
+    if not all(sentences):
         raise ValueError("cannot run the tagger on an empty sentence")
-    X, _ = _embed(tagger, tokens)
-    raw, _ = _forward(tagger, X, None, slice(None, None, -1))
-    return raw
+    sizes, order = chain.pack([len(tokens) for tokens in sentences])
+    token = np.argsort(order)  # packed row -> token of the concatenation
+    X, rows = _embed(tagger, [tok for tokens in sentences for tok in tokens])
+    return sizes, order, X[token], rows[token]
+
+
+def _scores(tagger: BiLstmTagger, sentences: list[list[Token]]) -> np.ndarray:
+    """Raw label scores [N, L] of sentences run as one packed pass, in
+    the token order of the concatenated sentences."""
+    sizes, order, X, _ = _pack_inputs(tagger, sentences)
+    raw, _ = _forward(tagger, X, sizes, chain.reversed_rows(sizes))
+    return raw[order]
 
 
 def _softmax_rows(raw: np.ndarray) -> np.ndarray:
@@ -179,7 +196,7 @@ def _softmax_rows(raw: np.ndarray) -> np.ndarray:
 
 def forward_sentence(tagger: BiLstmTagger, tokens: list[Token]) -> np.ndarray:
     """Per-token label scores [T, L]; softmax head rows are normalized."""
-    raw = _sentence_scores(tagger, tokens)
+    raw = _scores(tagger, [tokens])
     return _softmax_rows(raw) if tagger.head_kind == HEAD_SOFTMAX else raw
 
 
@@ -203,9 +220,8 @@ def _loss_impl(tagger, batch, want_grads):
              if want_grads else None)
     denom = (sum(len(ts.tokens) for ts in batch)
              if tagger.head_kind == HEAD_SOFTMAX else len(batch))
-    total = sum(_pass_loss(tagger, batch[start : start + PASS_SENTENCES],
-                           denom, grads)
-                for start in range(0, len(batch), PASS_SENTENCES))
+    total = sum(_pass_loss(tagger, part, denom, grads)
+                for part in chain.passes(batch))
     value = total / denom
     if not math.isfinite(value):
         raise FloatingPointError(f"non-finite loss {value!r}")
@@ -215,15 +231,10 @@ def _loss_impl(tagger, batch, want_grads):
 def _pass_loss(tagger, sentences, denom, grads) -> float:
     """Summed loss of sentences run as one packed pass; adds the gradients
     of that sum divided by ``denom`` into ``grads`` unless it is None."""
-    if not all(ts.tokens for ts in sentences):
-        raise ValueError("cannot run the tagger on an empty sentence")
-    sizes, order = chain.pack([len(ts.tokens) for ts in sentences])
-    token = np.argsort(order)  # packed row -> token of the concatenation
-    X, rows = _embed(tagger, [tok for ts in sentences for tok in ts.tokens])
-    X, rows = X[token], rows[token]
+    sizes, order, X, rows = _pack_inputs(tagger, [ts.tokens for ts in sentences])
+    gold = np.empty(len(order), dtype=np.intp)
     try:
-        gold = np.array([tagger.label_index[t] for ts in sentences
-                         for t in ts.tags], dtype=np.intp)[token]
+        gold[order] = [tagger.label_index[t] for ts in sentences for t in ts.tags]
     except KeyError as err:
         raise ValueError(f"unknown label in gold tags: {err}") from None
     reverse = chain.reversed_rows(sizes)
@@ -393,15 +404,17 @@ def fit(
 
 
 def predict(
-    tagger: BiLstmTagger, tokens: list[Token], constrained: bool = False
-) -> list[str]:
-    """IOB tags for one sentence, optionally with hard IOB2 constraints.
+    tagger: BiLstmTagger, sentences: list[list[Token]], constrained: bool = False
+) -> list[list[str]]:
+    """IOB tags of each sentence (a list of tokens), run and decoded as one
+    packed pass, optionally with hard IOB2 constraints.
 
     The softmax head decodes with zero transitions: the per-token argmax
     (ties go to the lower label index), or with constraints the most
     probable IOB2-valid sequence, as each token's normalizer is constant.
     """
-    raw = _sentence_scores(tagger, tokens)
+    raw = _scores(tagger, sentences)
     L = len(tagger.label_set)
     transitions = np.zeros((L, L)) if tagger.transitions is None else tagger.transitions
-    return decode(raw, transitions, tagger.label_set, constrained)
+    return decode(raw, transitions, tagger.label_set,
+                  [len(tokens) for tokens in sentences], constrained)

@@ -72,7 +72,7 @@ def test_criterion_1_dynamic_programming_oracles():
             got_log_z = crf.log_partition(model, feats)
             assert abs(got_log_z - brute_log_partition(scores, trans)) < 1e-8
 
-            tags = crf.viterbi(model, feats)
+            tags = crf.viterbi(model, [feats])[0]
             path = [model.label_index[t] for t in tags]
             expected_path, expected_score, ties = brute_viterbi(scores, trans)
             got_score = chain.sequence_score(scores, trans, path)

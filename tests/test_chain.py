@@ -235,6 +235,39 @@ class TestPacked:
             chain.forward_backward(np.zeros((3, 2)), np.zeros((2, 2)), sizes)
 
 
+def viterbi_masks(rng, L):
+    """No masks, or random start/transition masks that label 0 satisfies."""
+    if rng.random() < 0.5:
+        return None, None
+    start, trans = rng.random(L) < 0.6, rng.random((L, L)) < 0.6
+    start[0] = True
+    trans[:, 0] = True
+    return start, trans
+
+
+def tie_rule_path(scores, trans, start_mask=None, trans_mask=None):
+    """Viterbi's pick among all maximising label sequences, by enumeration:
+    the smallest one read from the last position back (lower label indices
+    win ties). Exact on integer-valued scores, where ties are exact too."""
+    scores, trans = scores.copy(), trans.copy()
+    if start_mask is not None:
+        scores[0, ~start_mask] = -np.inf
+    if trans_mask is not None:
+        trans[~trans_mask] = -np.inf
+    seqs, totals = enumerate_sequence_scores(scores, trans)
+    best = seqs[totals == totals.max()]
+    return list(min(tuple(seq[::-1]) for seq in best.tolist())[::-1])
+
+
+def packed_viterbi(scores, trans, start_mask=None, trans_mask=None):
+    """Per-sentence paths from one packed ``chain.viterbi`` call."""
+    sizes, row_of = pack(scores)
+    path = chain.viterbi(packed(scores, row_of), trans, start_mask, trans_mask,
+                         sizes)
+    return [[path[row_of[b, t]] for t in range(len(s))]
+            for b, s in enumerate(scores)]
+
+
 class TestViterbi:
     def test_emission_dominant(self):
         scores = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -276,3 +309,35 @@ class TestViterbi:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             chain.viterbi(np.zeros((0, 2)), np.zeros((2, 2)))
+
+    def test_packed_equals_per_sentence(self):
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            scores, _, trans = ragged_batch(rng)
+            start, mask = viterbi_masks(rng, trans.shape[0])
+            paths = packed_viterbi(scores, trans, start, mask)
+            for s, path in zip(scores, paths):
+                assert path == chain.viterbi(s, trans, start, mask)
+
+    def test_packed_integer_scores_follow_tie_rule(self):
+        rng = np.random.default_rng(25)
+        for _ in range(200):
+            scores, _, trans = ragged_batch(rng)
+            scores = [np.round(s) for s in scores]
+            trans = np.round(trans)
+            start, mask = viterbi_masks(rng, trans.shape[0])
+            paths = packed_viterbi(scores, trans, start, mask)
+            for s, path in zip(scores, paths):
+                expected = tie_rule_path(s, trans, start, mask)
+                assert path == expected
+                assert chain.viterbi(s, trans, start, mask) == expected
+
+    def test_packed_all_zero_breaks_ties_to_lowest_index(self):
+        scores = [np.zeros((n, 3)) for n in (2, 4, 1, 4)]
+        assert packed_viterbi(scores, np.zeros((3, 3))) == [
+            [0] * len(s) for s in scores]
+
+    @pytest.mark.parametrize("sizes", [[1, 2], [2, 0], [2], [3, 1, 1]])
+    def test_invalid_batch_sizes_rejected(self, sizes):
+        with pytest.raises(ValueError, match="batch_sizes"):
+            chain.viterbi(np.zeros((3, 2)), np.zeros((2, 2)), batch_sizes=sizes)

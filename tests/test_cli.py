@@ -1,8 +1,13 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from raretag import cli, crf, neural
+from raretag import chain, cli, conll, crf, neural
 from raretag.cli import CliError, parse_config, validate_run_config
 from raretag.lbfgs import LineSearchError
 
@@ -42,6 +47,23 @@ def trained_crf(tmp_path_factory):
     )
     assert run(["train", config]) == 0
     return model, train_conll, heldout_conll
+
+
+@pytest.fixture(scope="module")
+def trained_bilstm_crf(trained_crf, tmp_path_factory):
+    """A BiLSTM-CRF model path, trained for one epoch on the same corpus."""
+    _, train_conll, heldout_conll = trained_crf
+    tmp_path = tmp_path_factory.mktemp("trained_bilstm_crf")
+    config = tmp_path / "bl.cfg"
+    model = tmp_path / "bl.model"
+    config.write_text(
+        f"model_kind = bilstm-crf\ntrain = {train_conll}\n"
+        f"validation = {heldout_conll}\nembedding = random\n"
+        f"embedding_dim = 8\nhidden_dim = 5\nmax_epochs = 1\n"
+        f"seed = 2\nmodel_out = {model}\n"
+    )
+    assert run(["train", config]) == 0
+    return model
 
 
 class TestConfig:
@@ -308,6 +330,82 @@ class TestPredict:
 
         for item in read_conll(out.read_text()):
             assert validate(item.tags) == []
+
+
+class TestTagging:
+    @pytest.mark.parametrize("kind", ["crf", "bilstm-crf"])
+    def test_empty_input_tags_zero_sentences(self, kind, trained_crf,
+                                             trained_bilstm_crf, tmp_path,
+                                             capsys):
+        model = trained_crf[0] if kind == "crf" else trained_bilstm_crf
+        empty = tmp_path / "empty.conll"
+        empty.write_text("")
+        out = tmp_path / "pred.conll"
+        assert run(["predict", model, empty, out]) == 0
+        assert capsys.readouterr().out.startswith("tagged 0 sentences")
+        assert conll.read_conll(out.read_text()) == []
+        assert run(["evaluate", model, empty]) == 0
+        assert run(["evaluate", model, empty, "--level", "token",
+                    "--constrained"]) == 0
+
+    @pytest.mark.parametrize("kind", ["crf", "bilstm-crf"])
+    def test_predict_runs_through_the_traced_names(
+            self, kind, trained_crf, trained_bilstm_crf, tmp_path,
+            monkeypatch):
+        # perfbench/trace_stage.py times and counts these names; a tagging
+        # path around them would make its per-layer metrics read 0
+        model = trained_crf[0] if kind == "crf" else trained_bilstm_crf
+        train_conll = trained_crf[1]
+        calls = {"crf.viterbi": 0, "neural.predict": 0, "chain.viterbi": 0}
+        viterbi_rows = []
+
+        def count(module, name, record=None):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[f"{module.__name__.split('.')[-1]}.{name}"] += 1
+                if record is not None:
+                    record(*args)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(crf, "viterbi")
+        count(neural, "predict")
+        count(chain, "viterbi", lambda scores, *_: viterbi_rows.append(
+            scores.shape[0]))
+        assert run(["predict", model, train_conll, tmp_path / "pred.conll",
+                    "--constrained"]) == 0
+        items = conll.read_conll(train_conll.read_text())
+        passes = math.ceil(len(items) / chain.PASS_SENTENCES)
+        assert len(items) > chain.PASS_SENTENCES
+        tagger_name = "crf.viterbi" if kind == "crf" else "neural.predict"
+        assert calls == {"crf.viterbi": 0, "neural.predict": 0,
+                         tagger_name: passes, "chain.viterbi": passes}
+        assert sum(viterbi_rows) == sum(len(item.sentence.tokens)
+                                        for item in items)
+
+
+class TestImports:
+    def test_convert_and_gen_synthetic_never_load_numpy(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from raretag import cli\n"
+            "for argv in (sys.argv[1:4], sys.argv[4:]):\n"
+            "    assert cli.main(argv) == 0\n"
+            "    assert 'numpy' not in sys.modules, argv[0]\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code,
+             "gen-synthetic", str(tmp_path / "syn"), "--size=6",
+             "convert", str(tmp_path / "syn" / "train"),
+             str(tmp_path / "train.conll")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "train.conll").read_text().startswith("# doc_id")
 
 
 class TestDeterminism:

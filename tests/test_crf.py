@@ -136,14 +136,14 @@ class TestViterbi:
         model = make_zero_model(["a", "b"], {"f0": 0, "f1": 1})
         model.state_weights[0, 0] = 1.0
         model.state_weights[1, 1] = 1.0
-        assert crf.viterbi(model, [["f0"], ["f1"]]) == ["a", "b"]
+        assert crf.viterbi(model, [[["f0"], ["f1"]]]) == [["a", "b"]]
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(44)
         for _ in range(200):
             model = random_model(rng, n_labels=int(rng.integers(2, 6)))
             feats = random_features(rng, model, int(rng.integers(1, 7)))
-            tags = crf.viterbi(model, feats)
+            tags = crf.viterbi(model, [feats])[0]
             scores = model.state_scores(model.index_tokens(feats))
             expected_path, expected_score, ties = brute_viterbi(
                 scores, model.transition_weights
@@ -166,8 +166,19 @@ class TestViterbi:
                 rng.normal(0, 2, (len(labels), len(labels))),
             )
             feats = random_features(rng, model, int(rng.integers(1, 8)))
-            tags = crf.viterbi(model, feats, constrained=True)
+            tags = crf.viterbi(model, [feats], constrained=True)[0]
             assert validate(tags) == []
+
+
+    def test_tag_in_passes_equals_one_sentence_decodes(self):
+        corpus = toy_corpus(seed=45, size=70)
+        model, _ = crf.train(corpus, TrainConfig(max_iterations=5))
+        sentences = [Sentence(ts.tokens) for ts in corpus]
+        for constrained in (False, True):
+            assert model.tag(sentences, constrained) == [
+                crf.viterbi(model, [sentence_features(s)], constrained)[0]
+                for s in sentences]
+        assert model.tag([]) == []
 
 
 class TestTrain:
@@ -175,9 +186,7 @@ class TestTrain:
         corpus = toy_corpus(seed=1, size=50)
         model, result = crf.train(corpus, TrainConfig(max_iterations=100))
         gold = [ts.tags for ts in corpus]
-        pred = [
-            crf.predict_tags(model, Sentence(ts.tokens)) for ts in corpus
-        ]
+        pred = model.tag([Sentence(ts.tokens) for ts in corpus])
         report = entity_level(gold, pred)
         assert report.micro.f1 == 1.0
         assert result.iterations <= 100
@@ -202,7 +211,7 @@ class TestTrain:
         doubled, _ = crf.train(corpus + corpus, TrainConfig(max_iterations=80))
         for ts in heldout:
             sent = Sentence(ts.tokens)
-            assert crf.predict_tags(single, sent) == crf.predict_tags(doubled, sent)
+            assert single.tag([sent]) == doubled.tag([sent])
 
     def test_l2_shrinkage_is_monotone(self):
         corpus = toy_corpus(seed=6, size=20)
@@ -222,7 +231,7 @@ class TestTrain:
         unseen = make_tagged(["neverseen"], ["O"])
         feats = sentence_features(Sentence(unseen.tokens))
         before = len(model.feature_index)
-        crf.viterbi(model, feats)
+        crf.viterbi(model, [feats])
         assert len(model.feature_index) == before
 
     def test_l1_training_sparsifies(self):

@@ -63,7 +63,7 @@ class TestCrfContainer:
         loaded = load_model(path)
         for ts in corpus:
             sent = Sentence(ts.tokens)
-            assert crf.predict_tags(model, sent) == crf.predict_tags(loaded, sent)
+            assert model.tag([sent]) == loaded.tag([sent])
 
     def test_kind_probe(self, tmp_path):
         model, _ = trained_crf()
@@ -90,8 +90,8 @@ class TestTaggerContainer:
         for key, value in tagger.parameters().items():
             assert np.array_equal(loaded.parameters()[key], value), key
         for ts in corpus:
-            assert neural.predict(loaded, ts.tokens) == \
-                neural.predict(tagger, ts.tokens)
+            assert neural.predict(loaded, [ts.tokens]) == \
+                neural.predict(tagger, [ts.tokens])
 
     def test_oov_vectors_survive_reload(self, tmp_path):
         tagger, _ = built_tagger(neural.HEAD_CRF)
@@ -252,7 +252,7 @@ class TestStoredTagger:
                                  for row in case["scores"]])
             scores = neural.forward_sentence(model, tokens)
             assert np.max(np.abs(scores - expected)) < 1e-12
-            assert neural.predict(model, tokens) == case["tags"]
+            assert neural.predict(model, [tokens])[0] == case["tags"]
 
     @pytest.mark.parametrize("name", ["fw.W_i", "bw.U_g", "fw.b_f", "head.W",
                                       "head.b", "transitions", "embedding.matrix"])

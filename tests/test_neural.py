@@ -5,7 +5,7 @@ import pytest
 
 from oracles import central_difference_gradient, max_relative_error
 from toy import make_tagged, toy_corpus
-from raretag import neural
+from raretag import chain, neural
 from raretag.embeddings import random_table
 from raretag.iob import TAGS, validate
 from raretag.metrics import entity_level
@@ -23,6 +23,7 @@ from raretag.neural import (
     loss_and_gradients,
     predict,
 )
+from raretag.tokenizer import Sentence
 
 
 def small_tagger(head_kind, seed=0, hidden=3, dim=4, corpus=None):
@@ -131,7 +132,7 @@ class TestPackedPasses:
     @pytest.mark.parametrize("head_kind", [HEAD_SOFTMAX, HEAD_CRF])
     def test_batch_equals_weighted_sum_of_sentences(self, head_kind):
         corpus = toy_corpus(seed=71, size=45)
-        assert len(corpus) > neural.PASS_SENTENCES
+        assert len(corpus) > chain.PASS_SENTENCES
         tagger, _ = small_tagger(head_kind, seed=71, hidden=4, dim=5,
                                  corpus=corpus)
         value, grads = loss_and_gradients(tagger, corpus)
@@ -194,7 +195,7 @@ class TestFit:
                            hidden_dim=16, seed=0)
         tagger, history = fit(tagger, train_split, val_split, config)
         gold = [ts.tags for ts in val_split]
-        pred = [predict(tagger, ts.tokens) for ts in val_split]
+        pred = [predict(tagger, [ts.tokens])[0] for ts in val_split]
         report = entity_level(gold, pred)
         assert report.micro.f1 >= 0.95
         assert history.stopped_epoch <= 30
@@ -305,7 +306,7 @@ class TestEmbeddingTrainability:
 class TestPredict:
     def test_uniform_model_breaks_ties_to_first_label(self):
         tagger, corpus = zero_head_tagger(HEAD_SOFTMAX)
-        tags = predict(tagger, corpus[0].tokens)
+        tags = predict(tagger, [corpus[0].tokens])[0]
         assert tags == [TAGS[0]] * len(corpus[0].tokens)
 
     @pytest.mark.parametrize("head_kind", [HEAD_SOFTMAX, HEAD_CRF])
@@ -316,7 +317,24 @@ class TestPredict:
             tagger.transitions[:] = rng.normal(0, 3, tagger.transitions.shape)
         tagger.head_W[:] = rng.normal(0, 3, tagger.head_W.shape)
         for ts in corpus:
-            assert validate(predict(tagger, ts.tokens, constrained=True)) == []
+            assert validate(predict(tagger, [ts.tokens], constrained=True)[0]) == []
+
+    @pytest.mark.parametrize("head_kind", [HEAD_SOFTMAX, HEAD_CRF])
+    def test_tag_in_passes_equals_one_sentence_predictions(self, head_kind):
+        rng = np.random.default_rng(72)
+        corpus = toy_corpus(seed=72, size=70)
+        tagger, _ = small_tagger(head_kind, seed=72, hidden=4, dim=5,
+                                 corpus=corpus)
+        tagger.head_W[:] = rng.normal(0, 3, tagger.head_W.shape)
+        sentences = [Sentence(ts.tokens) for ts in corpus]
+        scores = neural._scores(tagger, [s.tokens for s in sentences])
+        one_by_one = np.vstack([neural._scores(tagger, [s.tokens])
+                                for s in sentences])
+        assert np.max(np.abs(scores - one_by_one)) < 1e-12
+        for constrained in (False, True):
+            assert tagger.tag(sentences, constrained) == [
+                predict(tagger, [s.tokens], constrained)[0] for s in sentences]
+        assert tagger.tag([]) == []
 
     def test_trained_model_recovers_trigger_tags(self):
         train_split = toy_corpus(seed=61, size=60)
@@ -331,4 +349,4 @@ class TestPredict:
             ["the", "patient", "shows", "velmora", "syndrome"],
             ["O", "O", "O", "B-RAREDISEASE", "I-RAREDISEASE"],
         )
-        assert predict(tagger, probe.tokens) == probe.tags
+        assert predict(tagger, [probe.tokens])[0] == probe.tags

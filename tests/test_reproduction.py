@@ -64,9 +64,7 @@ def test_crf_baseline_reproduction(splits):
         splits["train"] + splits["validation"], TrainConfig()
     )
     gold = [ts.tags for ts in splits["test"]]
-    pred = [
-        crf.predict_tags(model, Sentence(ts.tokens)) for ts in splits["test"]
-    ]
+    pred = model.tag([Sentence(ts.tokens) for ts in splits["test"]])
     report = metrics.entity_level(gold, pred)
     print()
     print(metrics.report_render(report, "table"))
