@@ -1,17 +1,20 @@
 """Command-line pipeline: convert, train, predict, evaluate, gen-synthetic.
 
 Training is configured by a flat ``key = value`` text file (``#`` starts a
-comment); unknown keys and keys that do not apply to the chosen model
-kind are rejected before any work starts. All outputs are UTF-8 and
-every file is written atomically. The ``RARETAG_CONFIG_DIR`` environment
-variable provides a default directory for relative config paths. The
-numpy-backed modules are imported by the commands that use them, so
-``convert`` and ``gen-synthetic`` start without numpy.
+comment). Its training settings, and their defaults, are the fields of
+``crf.TrainConfig`` (``crf``) or of ``neural.FitConfig`` plus the embedding
+and history keys (``bilstm``, ``bilstm-crf``); keys that are unknown or that
+the chosen kind does not use are rejected before any work starts. All
+outputs are UTF-8 and every file is written atomically.
+``RARETAG_CONFIG_DIR`` provides a default directory for relative config
+paths. The numpy-backed modules are imported by the commands that use
+them, so ``convert`` and ``gen-synthetic`` start without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -40,33 +43,18 @@ _COMMON_KEYS = {
     "model_kind": str,
     "train": str,
     "validation": str,
-    "test": str,
-    "embedding": str,
-    "embedding_dim": int,
     "seed": int,
     "model_out": str,
-    "history_out": str,
     "manifest_out": str,
+}
+
+# neural settings that are not fields of neural.FitConfig
+_NEURAL_EXTRA_KEYS = {
+    "embedding": str,
+    "embedding_dim": int,
     "oov_policy": str,
-}
-
-_CRF_KEYS = {
-    "l2_coefficient": float,
-    "l1_coefficient": float,
-    "max_iterations": int,
-    "convergence_tol": float,
-    "lbfgs_memory": int,
-    "window": int,
-}
-
-_NEURAL_KEYS = {
-    "learning_rate": float,
-    "max_epochs": int,
-    "patience": int,
-    "batch_size": int,
-    "hidden_dim": int,
-    "gradient_clip_norm": float,
     "train_embeddings": bool,
+    "history_out": str,
 }
 
 MODEL_KINDS = ("crf", "bilstm", "bilstm-crf")
@@ -81,8 +69,24 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _config_class(kind: str):
+    """The dataclass whose fields are the training settings of ``kind``."""
+    from . import crf, neural
+
+    return crf.TrainConfig if kind == "crf" else neural.FitConfig
+
+
+def _kind_keys(kind: str) -> dict[str, type]:
+    """The keys a config of ``kind`` may set besides the common ones; a
+    field is cast as the type of its default."""
+    keys = {f.name: type(f.default)
+            for f in dataclasses.fields(_config_class(kind))}
+    return keys if kind == "crf" else {**keys, **_NEURAL_EXTRA_KEYS}
+
+
 def parse_config(text: str) -> dict:
     """Parse flat ``key = value`` lines into a typed dict."""
+    schema = {**_COMMON_KEYS, **_kind_keys("crf"), **_kind_keys("bilstm")}
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -93,7 +97,6 @@ def parse_config(text: str) -> dict:
             raise CliError(f"config line {lineno}: expected 'key = value'")
         key = key.strip()
         raw = raw.split("#", 1)[0].strip()
-        schema = {**_COMMON_KEYS, **_CRF_KEYS, **_NEURAL_KEYS}
         if key not in schema:
             raise CliError(f"config line {lineno}: unknown key {key!r}")
         if key in values:
@@ -116,14 +119,13 @@ def validate_run_config(values: dict) -> dict:
         raise CliError("config missing required key 'train'")
     if "model_out" not in values:
         raise CliError("config missing required key 'model_out'")
-    wrong = _NEURAL_KEYS.keys() & values.keys() if kind == "crf" \
-        else _CRF_KEYS.keys() & values.keys()
     if kind != "crf":
         if "validation" not in values:
             raise CliError(f"{kind} training requires a 'validation' path")
         if "embedding" not in values:
             raise CliError(f"{kind} training requires 'embedding' "
                            "(either 'random' or a vector file path)")
+    wrong = values.keys() - _COMMON_KEYS.keys() - _kind_keys(kind).keys()
     if wrong:
         raise CliError(
             f"keys not valid for model_kind={kind}: {', '.join(sorted(wrong))}"
@@ -208,12 +210,11 @@ def cmd_convert(args) -> int:
 
 # ---------------------------------------------------------------- train
 
-def _build_embedding_source(cfg: dict, train_sents):
+def _build_embedding_source(cfg: dict, train_sents, seed: int):
     from . import embeddings
 
     source = cfg["embedding"]
     policy = cfg.get("oov_policy", "random_seeded")
-    seed = cfg.get("seed", 0)
     if source == "random":
         vocab = sorted({t.surface for ts in train_sents for t in ts.tokens})
         return embeddings.random_table(
@@ -232,7 +233,10 @@ def cmd_train(args) -> int:
         config_path.read_text(encoding="utf-8")
     ))
     kind = cfg["model_kind"]
-    for key in ("train", "validation", "test"):
+    config_class = _config_class(kind)
+    fields = {f.name for f in dataclasses.fields(config_class)}
+    settings = config_class(**{k: v for k, v in cfg.items() if k in fields})
+    for key in ("train", "validation"):
         if key in cfg and not Path(cfg[key]).exists():
             raise CliError(f"{key} file not found: {cfg[key]}")
 
@@ -240,22 +244,14 @@ def cmd_train(args) -> int:
     val_items = _read_tagged_conll(cfg["validation"]) if "validation" in cfg else []
     train_sents = _tagged_sentences(train_items)
     val_sents = _tagged_sentences(val_items)
-    seed = cfg.get("seed", 0)
+    seed = cfg.get("seed")  # recorded only: the CRF draws no random numbers
     started = time.monotonic()
     history_csv = None
 
     if kind == "crf":
-        tc = crf.TrainConfig(
-            l2_coefficient=cfg.get("l2_coefficient", 1.0),
-            l1_coefficient=cfg.get("l1_coefficient", 0.0),
-            max_iterations=cfg.get("max_iterations", 100),
-            convergence_tol=cfg.get("convergence_tol", 1e-5),
-            lbfgs_memory=cfg.get("lbfgs_memory", 6),
-            window=cfg.get("window", 2),
-        )
         # default hyperparameters: train on train+validation together
         try:
-            model, opt = crf.train(train_sents + val_sents, tc)
+            model, opt = crf.train(train_sents + val_sents, settings)
         except lbfgs.LineSearchError as err:
             raise CliError(str(err)) from None
         final_metrics = {
@@ -267,26 +263,18 @@ def cmd_train(args) -> int:
             "objective_trace": opt.trace,
         }
     else:
-        fc = neural.FitConfig(
-            learning_rate=cfg.get("learning_rate", 0.001),
-            max_epochs=cfg.get("max_epochs", 50),
-            patience=cfg.get("patience", 4),
-            batch_size=cfg.get("batch_size", 32),
-            hidden_dim=cfg.get("hidden_dim", 100),
-            seed=seed,
-            gradient_clip_norm=cfg.get("gradient_clip_norm", 5.0),
-        )
-        source = _build_embedding_source(cfg, train_sents)
+        seed = settings.seed
+        source = _build_embedding_source(cfg, train_sents, seed)
         head = neural.HEAD_CRF if kind == "bilstm-crf" else neural.HEAD_SOFTMAX
         tagger = neural.build_tagger(
             train_sents,
             source,
             head_kind=head,
-            hidden_dim=fc.hidden_dim,
+            hidden_dim=settings.hidden_dim,
             seed=seed,
             train_embeddings=cfg.get("train_embeddings"),
         )
-        model, history = neural.fit(tagger, train_sents, val_sents, fc)
+        model, history = neural.fit(tagger, train_sents, val_sents, settings)
         history_csv = history.to_csv()
         final_metrics = {
             "best_epoch": history.best_epoch,

@@ -65,16 +65,19 @@ class EmbeddingTable:
             self._oov_cache[word] = rng.uniform(-OOV_SCALE, OOV_SCALE, self.dim)
         return self._oov_cache[word]
 
-    def lookup(self, word: str) -> np.ndarray:
-        """Vector for a word: exact match, then lowercase, then OOV policy."""
+    def row(self, word: str) -> int:
+        """Matrix row of a word: exact match, then lowercase; -1 when the
+        word is out of vocabulary. Counts toward ``oov_rate``."""
         self._lookups += 1
-        row = self.vocab.get(word)
-        if row is None:
-            row = self.vocab.get(word.lower())
-        if row is not None:
-            return self.matrix[row]
-        self._misses += 1
-        return self._oov_vector(word)
+        row = self.vocab.get(word, self.vocab.get(word.lower(), -1))
+        if row < 0:
+            self._misses += 1
+        return row
+
+    def lookup(self, word: str) -> np.ndarray:
+        """Vector for a word: its ``row``, else the OOV policy's vector."""
+        row = self.row(word)
+        return self.matrix[row] if row >= 0 else self._oov_vector(word)
 
     def oov_rate(self) -> float:
         return self._misses / self._lookups if self._lookups else 0.0

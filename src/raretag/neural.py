@@ -29,13 +29,14 @@ from .tokenizer import Sentence, Token
 HEAD_SOFTMAX = "softmax"
 HEAD_CRF = "crf"
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass
 class FitConfig:
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     max_epochs: int = 50
     patience: int = 4
     batch_size: int = 32
@@ -154,10 +155,12 @@ def build_tagger(
 
 def _embed(tagger: BiLstmTagger, tokens: list[Token]) -> tuple[np.ndarray, np.ndarray]:
     """Input matrix [T, dim] and per-token row index (-1 for OOV)."""
-    vocab = tagger.embedding.vocab
-    rows = [vocab.get(t.surface, vocab.get(t.surface.lower(), -1)) for t in tokens]
-    X = np.array([tagger.embedding.lookup(t.surface) for t in tokens])
-    return X, np.array(rows, dtype=np.intp)
+    table = tagger.embedding
+    rows = np.array([table.row(t.surface) for t in tokens], dtype=np.intp)
+    X = table.matrix[rows]
+    for i in np.flatnonzero(rows < 0):
+        X[i] = table._oov_vector(tokens[i].surface)
+    return X, rows
 
 
 def _forward(tagger: BiLstmTagger, X: np.ndarray, batch_sizes, reverse):
@@ -213,13 +216,19 @@ def loss_and_gradients(
     return _loss_impl(tagger, batch, want_grads=True)
 
 
+def _loss_denominator(tagger: BiLstmTagger, batch: list[TaggedSentence]) -> int:
+    """A batch's loss is the mean over its tokens (softmax) or sentences (CRF)."""
+    if tagger.head_kind == HEAD_SOFTMAX:
+        return sum(len(ts.tokens) for ts in batch)
+    return len(batch)
+
+
 def _loss_impl(tagger, batch, want_grads):
     if not batch:
         raise ValueError("empty batch")
     grads = ({k: np.zeros_like(v) for k, v in tagger.parameters().items()}
              if want_grads else None)
-    denom = (sum(len(ts.tokens) for ts in batch)
-             if tagger.head_kind == HEAD_SOFTMAX else len(batch))
+    denom = _loss_denominator(tagger, batch)
     total = sum(_pass_loss(tagger, part, denom, grads)
                 for part in chain.passes(batch))
     value = total / denom
@@ -288,19 +297,19 @@ class AdamOptimizer:
         self.t = 0
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
-        c = self.config
+        lr = self.config.learning_rate
         self.t += 1
-        bc1 = 1.0 - c.beta1**self.t
-        bc2 = 1.0 - c.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for key, param in self.params.items():
             g = grads[key]
             m = self.m[key]
             v = self.v[key]
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * (g * g)
-            param -= c.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + c.epsilon)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            param -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
 
 
 class EarlyStopping:
@@ -379,8 +388,7 @@ def fit(
             optimizer.step(grads)
             # weight by the batch's own denominator so the epoch loss is a
             # true dataset mean (and batch-partition invariant at lr=0)
-            weight = (sum(len(ts.tokens) for ts in batch)
-                      if tagger.head_kind == HEAD_SOFTMAX else len(batch))
+            weight = _loss_denominator(tagger, batch)
             loss_sum += value * weight
             weight_sum += weight
         train_loss = loss_sum / weight_sum
@@ -388,9 +396,8 @@ def fit(
         history.epochs.append(epoch)
         history.train_loss.append(train_loss)
         history.val_loss.append(val_loss)
-        improved = val_loss < stopper.best
         stop = stopper.update(epoch, val_loss)
-        if improved:
+        if stopper.best_epoch == epoch:
             best_params = {k: v.copy() for k, v in params.items()}
         if progress is not None:
             progress(epoch, train_loss, val_loss)

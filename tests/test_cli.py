@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +81,8 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(CliError, match="unknown key"):
             parse_config("explosions = 9\n")
+        with pytest.raises(CliError, match="unknown key 'test'"):
+            parse_config("test = x\n")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(CliError, match="duplicate"):
@@ -100,6 +104,22 @@ class TestConfig:
                 "validation": "v", "embedding": "random",
                 "l2_coefficient": 0.5,
             })
+        for key, value in (("embedding", "random"), ("embedding_dim", 8),
+                           ("oov_policy", "zeros"), ("history_out", "h.csv")):
+            with pytest.raises(CliError,
+                               match=f"not valid for model_kind=crf: {key}$"):
+                validate_run_config({
+                    "model_kind": "crf", "train": "x", "model_out": "m",
+                    key: value,
+                })
+
+    def test_readme_defaults_are_the_dataclass_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = dict(re.findall(r"`(\w+)`\s+\(([-+.\deE]+)\)", readme))
+        for config_class in (crf.TrainConfig, neural.FitConfig):
+            for field in dataclasses.fields(config_class):
+                assert field.name in listed, f"README omits {field.name}"
+                assert float(listed[field.name]) == field.default, field.name
 
     def test_neural_requires_validation_and_embedding(self):
         with pytest.raises(CliError, match="validation"):
@@ -240,6 +260,51 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == "error: epoch 1, batch at index 0: non-finite loss nan\n"
         assert not (tmp_path / "never.model").exists()
+
+    def test_config_file_sets_the_training_settings(self, trained_crf,
+                                                     tmp_path, monkeypatch,
+                                                     capsys):
+        _, train_conll, heldout_conll = trained_crf
+        received = {}
+
+        def capture(module, name, **short):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                received[name] = args[-1]
+                return real(*args[:-1], dataclasses.replace(args[-1], **short))
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        capture(crf, "train", max_iterations=0)
+        capture(neural, "fit", max_epochs=0)
+        crf_lines = (f"model_kind = crf\ntrain = {train_conll}\n"
+                     f"model_out = {tmp_path}/crf.model\n")
+        neural_lines = (f"model_kind = bilstm-crf\ntrain = {train_conll}\n"
+                        f"validation = {heldout_conll}\nembedding = random\n"
+                        f"seed = 3\nmodel_out = {tmp_path}/bl.model\n")
+        config = tmp_path / "run.cfg"
+        for lines, name, expected in (
+            (crf_lines, "train", crf.TrainConfig()),
+            (crf_lines + "l2_coefficient = 0.25\n", "train",
+             crf.TrainConfig(l2_coefficient=0.25)),
+            (neural_lines, "fit", neural.FitConfig(seed=3)),
+            (neural_lines + "patience = 2\n", "fit",
+             neural.FitConfig(seed=3, patience=2)),
+        ):
+            config.write_text(lines)
+            assert run(["train", config]) == 0
+            assert received.pop(name) == expected
+        config.write_text(crf_lines + "history_out = h.csv\n")
+        assert run(["train", config]) == 1
+        assert capsys.readouterr().err == (
+            "error: keys not valid for model_kind=crf: history_out\n")
+        # a setting its dataclass rejects fails before any file is read
+        config.write_text(f"model_kind = crf\ntrain = {tmp_path}/none.conll\n"
+                          f"model_out = {tmp_path}/never.model\nlbfgs_memory = 0\n")
+        assert run(["train", config]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid iteration/memory settings\n")
 
     def test_config_dir_env_var(self, trained_crf, tmp_path, monkeypatch):
         model, train_conll, _ = trained_crf

@@ -87,6 +87,11 @@ class TestLookup:
         expected = np.array([0.2, 0.3])
         assert np.allclose(self.table("mean_vector").lookup("bird"), expected)
 
+    def test_row_is_exact_then_lowercase_then_minus_one(self):
+        table = self.table("zeros")
+        assert [table.row(w) for w in ("dog", "CAT", "bird")] == [1, 0, -1]
+        assert table.oov_rate() == pytest.approx(1 / 3)
+
     def test_oov_rate(self):
         table = self.table("zeros")
         table.lookup("cat")

@@ -79,6 +79,18 @@ class TestForward:
         reversed_scores = forward_sentence(swapped, list(reversed(tokens)))
         assert np.allclose(original, reversed_scores[::-1], atol=1e-12)
 
+    def test_inputs_are_the_table_lookups_counted_once(self):
+        tagger, corpus = small_tagger(HEAD_CRF)
+        table = tagger.embedding
+        word = next(w for w in table.vocab if w.islower())
+        words = [word, word.upper(), "neverseen", "neverseen"]
+        expected = np.array([table.lookup(w) for w in words])
+        table.reset_oov_counters()
+        X, rows = neural._embed(tagger, make_tagged(words, ["O"] * 4).tokens)
+        assert np.array_equal(X, expected)
+        assert rows.tolist() == [table.vocab[word]] * 2 + [-1, -1]
+        assert (table._lookups, table._misses) == (4, 2)
+
 
 class TestLoss:
     def test_uniform_logits_cross_entropy(self):
@@ -244,6 +256,19 @@ class TestFit:
         tagger, history = fit(tagger, train_split, val_split, config)
         assert loss(tagger, val_split) == min(history.val_loss)
         assert history.val_loss[history.best_epoch - 1] == min(history.val_loss)
+
+    def test_best_weights_restored_when_later_epochs_are_worse(self):
+        train_split = toy_corpus(seed=51, size=15)
+        val_split = toy_corpus(seed=52, size=8)
+        vocab = sorted({t.surface for ts in train_split for t in ts.tokens})
+        tagger = build_tagger(train_split, random_table(vocab, 8, seed=1),
+                              head_kind=HEAD_SOFTMAX, hidden_dim=6, seed=1)
+        # a step this large makes the validation loss rise and fall again
+        config = FitConfig(learning_rate=0.5, max_epochs=8, batch_size=4,
+                           hidden_dim=6, seed=1, patience=3)
+        tagger, history = fit(tagger, train_split, val_split, config)
+        assert history.best_epoch < history.stopped_epoch
+        assert loss(tagger, val_split) == min(history.val_loss)
 
     def test_gradient_clipping_bounds_global_norm(self):
         rng = np.random.default_rng(0)
