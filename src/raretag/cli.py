@@ -43,7 +43,6 @@ _COMMON_KEYS = {
     "model_kind": str,
     "train": str,
     "validation": str,
-    "seed": int,
     "model_out": str,
     "manifest_out": str,
 }
@@ -56,6 +55,7 @@ _NEURAL_EXTRA_KEYS = {
     "train_embeddings": bool,
     "history_out": str,
 }
+EMBEDDING_DIM = 50  # of an ``embedding = random`` table
 
 MODEL_KINDS = ("crf", "bilstm", "bilstm-crf")
 
@@ -214,15 +214,15 @@ def _build_embedding_source(cfg: dict, train_sents, seed: int):
     from . import embeddings
 
     source = cfg["embedding"]
-    policy = cfg.get("oov_policy", "random_seeded")
+    policy = {"oov_policy": cfg["oov_policy"]} if "oov_policy" in cfg else {}
     if source == "random":
         vocab = sorted({t.surface for ts in train_sents for t in ts.tokens})
         return embeddings.random_table(
-            vocab, cfg.get("embedding_dim", 50), seed, policy
+            vocab, cfg.get("embedding_dim", EMBEDDING_DIM), seed, **policy
         )
     if not Path(source).exists():
         raise CliError(f"embedding file not found: {source}")
-    return embeddings.load_text_format(source, policy, seed)
+    return embeddings.load_text_format(source, seed=seed, **policy)
 
 
 def cmd_train(args) -> int:
@@ -244,7 +244,6 @@ def cmd_train(args) -> int:
     val_items = _read_tagged_conll(cfg["validation"]) if "validation" in cfg else []
     train_sents = _tagged_sentences(train_items)
     val_sents = _tagged_sentences(val_items)
-    seed = cfg.get("seed")  # recorded only: the CRF draws no random numbers
     started = time.monotonic()
     history_csv = None
 
@@ -263,15 +262,14 @@ def cmd_train(args) -> int:
             "objective_trace": opt.trace,
         }
     else:
-        seed = settings.seed
-        source = _build_embedding_source(cfg, train_sents, seed)
+        source = _build_embedding_source(cfg, train_sents, settings.seed)
         head = neural.HEAD_CRF if kind == "bilstm-crf" else neural.HEAD_SOFTMAX
         tagger = neural.build_tagger(
             train_sents,
             source,
             head_kind=head,
             hidden_dim=settings.hidden_dim,
-            seed=seed,
+            seed=settings.seed,
             train_embeddings=cfg.get("train_embeddings"),
         )
         model, history = neural.fit(tagger, train_sents, val_sents, settings)
@@ -291,7 +289,7 @@ def cmd_train(args) -> int:
     manifest = {
         "command": "train",
         "config": cfg,
-        "seed": seed,
+        "seed": getattr(settings, "seed", None),
         "durations": {"train_seconds": round(time.monotonic() - started, 3)},
         "metrics": final_metrics,
         "model_path": str(model_out),

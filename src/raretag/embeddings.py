@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 OOV_POLICIES = ("zeros", "random_seeded", "mean_vector")
+DEFAULT_OOV_POLICY = "random_seeded"
 
 OOV_SCALE = 0.25  # uniform(-0.25, 0.25), also used for random tables
 
@@ -36,7 +37,7 @@ class EmbeddingTable:
     dim: int
     vocab: dict[str, int]
     matrix: np.ndarray  # [len(vocab), dim]
-    oov_policy: str = "random_seeded"
+    oov_policy: str = DEFAULT_OOV_POLICY
     seed: int = 0
     duplicate_count: int = 0
     origin: str = "file"  # "file" or "random"
@@ -88,7 +89,7 @@ class EmbeddingTable:
 
 def load_text_format(
     path: str | Path,
-    oov_policy: str = "random_seeded",
+    oov_policy: str = DEFAULT_OOV_POLICY,
     seed: int = 0,
 ) -> EmbeddingTable:
     """Load a GloVe-style or word2vec-text embedding file.
@@ -153,7 +154,7 @@ def save_text_format(table: EmbeddingTable, path: str | Path,
 
 
 def random_table(
-    vocab: list[str], dim: int, seed: int, oov_policy: str = "random_seeded"
+    vocab: list[str], dim: int, seed: int, oov_policy: str = DEFAULT_OOV_POLICY
 ) -> EmbeddingTable:
     """Deterministic uniform(-0.25, 0.25) table over the given vocabulary."""
     if dim <= 0:

@@ -114,8 +114,8 @@ def build_tagger(
     train_sentences: list[TaggedSentence],
     source_table: EmbeddingTable,
     head_kind: str = HEAD_CRF,
-    hidden_dim: int = 100,
-    seed: int = 0,
+    hidden_dim: int = FitConfig.hidden_dim,
+    seed: int = FitConfig.seed,
     train_embeddings: bool | None = None,
     label_set: list[str] | None = None,
 ) -> BiLstmTagger:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from raretag import chain, cli, conll, crf, neural
+from raretag import chain, cli, conll, crf, embeddings, neural
 from raretag.cli import CliError, parse_config, validate_run_config
 from raretag.lbfgs import LineSearchError
 
@@ -105,7 +105,8 @@ class TestConfig:
                 "l2_coefficient": 0.5,
             })
         for key, value in (("embedding", "random"), ("embedding_dim", 8),
-                           ("oov_policy", "zeros"), ("history_out", "h.csv")):
+                           ("oov_policy", "zeros"), ("history_out", "h.csv"),
+                           ("seed", 1)):
             with pytest.raises(CliError,
                                match=f"not valid for model_kind=crf: {key}$"):
                 validate_run_config({
@@ -115,11 +116,15 @@ class TestConfig:
 
     def test_readme_defaults_are_the_dataclass_defaults(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        listed = dict(re.findall(r"`(\w+)`\s+\(([-+.\deE]+)\)", readme))
+        listed = dict(re.findall(r"`(\w+)`\s+\(([-+.\deE]+)[),]", readme))
         for config_class in (crf.TrainConfig, neural.FitConfig):
             for field in dataclasses.fields(config_class):
                 assert field.name in listed, f"README omits {field.name}"
                 assert float(listed[field.name]) == field.default, field.name
+        assert float(listed["embedding_dim"]) == cli.EMBEDDING_DIM
+        text = " ".join(readme.split())
+        for claim in ("`oov_policy` (`{}`)", "OOV policy is `{}` by default"):
+            assert claim.format(embeddings.DEFAULT_OOV_POLICY) in text
 
     def test_neural_requires_validation_and_embedding(self):
         with pytest.raises(CliError, match="validation"):
