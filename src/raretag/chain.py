@@ -1,10 +1,15 @@
 """Linear-chain dynamic programs over dense score matrices.
 
 All routines take state scores ``[N, L]`` and a transition matrix
-``[L, L]`` (``trans[i, j]`` scores label i followed by label j) and work in
-natural-log space with the log-sum-exp trick, so they stay stable for
-score magnitudes up to about 1e3. Shared by the feature-based CRF and the
-neural CRF output head.
+``[L, L]`` (``trans[i, j]`` scores label i followed by label j). Shared by
+the feature-based CRF and the neural CRF output head. The forward
+recursion, log Z and Viterbi work in natural-log space with the
+log-sum-exp trick, so they stay stable for score magnitudes up to about
+1e3. ``forward_backward`` runs its backward recursion and forms the
+pairwise marginals in probability space, rescaled at every position (the
+scaled forward-backward of Rabiner 1989, section V.A), while the
+transitions span less than ``PRODUCT_SPAN``; wider transitions take the
+log-space path.
 
 ``forward_backward``, ``nll_and_gradients``, ``sequence_score`` and
 ``viterbi`` score or decode a batch of sentences in one packed, time-major
@@ -26,6 +31,12 @@ import numpy as np
 # arrays that one pass holds, which over a whole corpus (or a whole
 # validation split, with the LSTM caches) would set the peak memory.
 PASS_SENTENCES = 32
+
+# Bound on max - min of a transition matrix that forward_backward handles
+# in probability space: every rescaled backward sum is then at least
+# e^-600 and every pairwise rescaling factor at most e^600, both inside
+# float64's normal range (about e^-708 to e^709).
+PRODUCT_SPAN = 600.0
 
 
 def logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
@@ -103,10 +114,13 @@ def sequence_score(
 ) -> float:
     """Unnormalized log score of one label sequence per sentence, summed."""
     sizes = _check(scores, transitions, batch_sizes)
-    labels = np.asarray(labels)
+    return _path_score(scores, transitions, np.asarray(labels), *links(sizes))
+
+
+def _path_score(scores: np.ndarray, transitions: np.ndarray,
+                labels: np.ndarray, pred: np.ndarray, succ: np.ndarray) -> float:
     if labels.shape != scores.shape[:1]:
         raise ValueError("label sequence length does not match scores")
-    pred, succ = links(sizes)
     total = float(np.sum(scores[np.arange(len(labels)), labels]))
     total += float(np.sum(transitions[labels[pred], labels[succ]]))
     return total
@@ -139,12 +153,20 @@ def forward_backward(
         alphas[cur : cur + n] = scores[cur : cur + n] + logsumexp(
             alphas[prev : prev + n, :, None] + transitions, axis=1
         )
+    product = np.ptp(transitions) < PRODUCT_SPAN
+    if product:
+        trans_max = transitions.max()
+        exp_trans = np.exp(transitions - trans_max)
     for t in range(len(counts) - 1, 0, -1):
         n, prev, cur = counts[t], starts[t - 1], starts[t]
-        betas[prev : prev + n] = logsumexp(
-            transitions + (scores[cur : cur + n] + betas[cur : cur + n])[:, None, :],
-            axis=2,
-        )
+        ahead = scores[cur : cur + n] + betas[cur : cur + n]
+        if product:
+            ahead_max = ahead.max(axis=1, keepdims=True)
+            betas[prev : prev + n] = np.log(
+                np.exp(ahead - ahead_max) @ exp_trans.T) + (ahead_max + trans_max)
+        else:
+            betas[prev : prev + n] = logsumexp(transitions + ahead[:, None, :],
+                                               axis=2)
     N = scores.shape[0]
     pred, succ = links(sizes)
     sentence = np.arange(N) - np.repeat(starts[:-1], sizes)
@@ -156,10 +178,24 @@ def forward_backward(
     unary = alphas + betas
     unary -= row_log_z[:, None]
     np.exp(unary, out=unary)
-    pairwise = alphas[pred, :, None] + transitions
-    pairwise += (scores[succ] + betas[succ])[:, None, :]
-    pairwise -= row_log_z[succ, None, None]
-    np.exp(pairwise, out=pairwise)
+    behind = alphas[pred]
+    ahead = scores[succ] + betas[succ]
+    if product:
+        # log Z is at least behind_max + ahead_max + trans_max - span, so
+        # the rescaling factor is at most e^span and no product overflows
+        behind_max = behind.max(axis=1, keepdims=True)
+        ahead_max = ahead.max(axis=1, keepdims=True)
+        ahead -= ahead_max
+        np.exp(ahead, out=ahead)
+        ahead *= np.exp(behind_max + ahead_max + trans_max
+                        - row_log_z[succ, None])
+        pairwise = np.exp(behind - behind_max)[:, :, None] * exp_trans
+        pairwise *= ahead[:, None, :]
+    else:
+        pairwise = behind[:, :, None] + transitions
+        pairwise += ahead[:, None, :]
+        pairwise -= row_log_z[succ, None, None]
+        np.exp(pairwise, out=pairwise)
     return float(log_z.sum()), unary, pairwise
 
 
@@ -172,10 +208,10 @@ def nll_and_gradients(
     transition counts."""
     log_z, unary, pairwise = forward_backward(scores, transitions, batch_sizes)
     gold = np.asarray(gold)
-    nll = log_z - sequence_score(scores, transitions, gold, batch_sizes)
+    pred, succ = links(packed_sizes(batch_sizes, scores.shape[0]))
+    nll = log_z - _path_score(scores, transitions, gold, pred, succ)
     unary[np.arange(len(gold)), gold] -= 1.0
     L = transitions.shape[0]
-    pred, succ = links(_check(scores, transitions, batch_sizes))
     d_trans = pairwise.sum(axis=0)
     d_trans -= np.bincount(gold[pred] * L + gold[succ], minlength=L * L).reshape(L, L)
     return nll, unary, d_trans

@@ -335,6 +335,7 @@ def _parse_min_flags(pairs: list[str]) -> dict[str, float]:
 def cmd_evaluate(args) -> int:
     from . import model_io
 
+    thresholds = _parse_min_flags(args.min or [])
     model = model_io.load_model(args.model)
     items = _read_tagged_conll(args.conll)
     label_set = model.label_set
@@ -345,12 +346,11 @@ def cmd_evaluate(args) -> int:
         report = metrics.token_level(gold, preds)
     else:
         report = metrics.entity_level(gold, preds)
+    # an unknown metric name fails before the report is written
+    actual = {name: report.metric(name) for name in thresholds}
     sys.stdout.write(metrics.report_render(report, args.format))
-    failures = []
-    for name, minimum in _parse_min_flags(args.min or []).items():
-        actual = report.metric(name)
-        if actual < minimum:
-            failures.append(f"{name}={actual:.4f} < {minimum:.4f}")
+    failures = [f"{name}={actual[name]:.4f} < {minimum:.4f}"
+                for name, minimum in thresholds.items() if actual[name] < minimum]
     if failures:
         print("threshold check failed: " + "; ".join(failures), file=sys.stderr)
         return EXIT_THRESHOLD

@@ -46,11 +46,13 @@ def _gather_sum(source: np.ndarray, take: np.ndarray, put: np.ndarray,
                 size: int) -> np.ndarray:
     """[size, L] array whose row r sums ``source[take[k]]`` over all k with
     ``put[k] == r``: state scores from weights, or the state gradient from
-    score gradients, one ``np.bincount`` per label."""
-    out = np.empty((size, source.shape[1]))
-    for label in range(source.shape[1]):
-        out[:, label] = np.bincount(put, source[take, label], minlength=size)
-    return out
+    score gradients, one ``np.bincount`` per label over a contiguous copy
+    of that label's column."""
+    out = np.empty((source.shape[1], size))
+    for label, column in enumerate(source.T.copy()):
+        out[label] = np.bincount(put, column.take(take), minlength=size)
+    # C order: the callers read [size, L] rows, and tagging slows on a view
+    return out.T.copy()
 
 
 @dataclass

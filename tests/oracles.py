@@ -71,6 +71,19 @@ def brute_unary_marginals(scores: np.ndarray, transitions: np.ndarray) -> np.nda
     return marg
 
 
+def brute_pairwise_marginals(scores: np.ndarray,
+                             transitions: np.ndarray) -> np.ndarray:
+    """[T-1, L, L]: entry [t, i, j] is p(label i at t, label j at t+1)."""
+    seqs, totals = enumerate_sequence_scores(scores, transitions)
+    weights = np.exp(totals - totals.max())
+    weights /= weights.sum()
+    T, L = scores.shape
+    marg = np.zeros((max(T - 1, 0), L, L))
+    for t in range(T - 1):
+        np.add.at(marg[t], (seqs[:, t], seqs[:, t + 1]), weights)
+    return marg
+
+
 def central_difference_gradient(fun, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
     """Central finite differences of a scalar function, elementwise."""
     grad = np.zeros_like(x, dtype=np.float64)

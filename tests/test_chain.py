@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     brute_log_partition,
+    brute_pairwise_marginals,
     brute_unary_marginals,
     brute_viterbi,
     central_difference_gradient,
@@ -164,26 +165,31 @@ def packed(arrays, row_of):
     return out
 
 
+def check_packed_forward_backward(scores, trans):
+    """One packed forward_backward call equals the per-sentence calls."""
+    sizes, row_of = pack(scores)
+    log_z, unary, pairwise = chain.forward_backward(
+        packed(scores, row_of), trans, sizes)
+    assert pairwise.shape == (len(row_of) - sizes[0],) + trans.shape
+    total = 0.0
+    for b, s in enumerate(scores):
+        z_b, unary_b, pairwise_b = chain.forward_backward(s, trans)
+        total += z_b
+        for t in range(len(s)):
+            row = row_of[b, t]
+            assert np.max(np.abs(unary[row] - unary_b[t])) < 1e-12
+            if t:
+                assert np.max(np.abs(
+                    pairwise[row - sizes[0]] - pairwise_b[t - 1])) < 1e-12
+    assert log_z == pytest.approx(total, abs=1e-10)
+
+
 class TestPacked:
     def test_forward_backward_equals_per_sentence(self):
         rng = np.random.default_rng(20)
         for _ in range(50):
             scores, _, trans = ragged_batch(rng)
-            sizes, row_of = pack(scores)
-            log_z, unary, pairwise = chain.forward_backward(
-                packed(scores, row_of), trans, sizes)
-            assert pairwise.shape == (len(row_of) - sizes[0],) + trans.shape
-            total = 0.0
-            for b, s in enumerate(scores):
-                z_b, unary_b, pairwise_b = chain.forward_backward(s, trans)
-                total += z_b
-                for t in range(len(s)):
-                    row = row_of[b, t]
-                    assert np.max(np.abs(unary[row] - unary_b[t])) < 1e-12
-                    if t:
-                        assert np.max(np.abs(
-                            pairwise[row - sizes[0]] - pairwise_b[t - 1])) < 1e-12
-            assert log_z == pytest.approx(total, abs=1e-10)
+            check_packed_forward_backward(scores, trans)
 
     def test_nll_and_gradients_equal_per_sentence(self):
         rng = np.random.default_rng(21)
@@ -233,6 +239,62 @@ class TestPacked:
     def test_invalid_batch_sizes_rejected(self, sizes):
         with pytest.raises(ValueError, match="batch_sizes"):
             chain.forward_backward(np.zeros((3, 2)), np.zeros((2, 2)), sizes)
+
+
+def spanned_transitions(rng, L, span):
+    """Random [L, L] transitions whose max - min is ``span``."""
+    trans = rng.uniform(-1, 1, (L, L))
+    return (trans - trans.min()) * (span / np.ptp(trans)) - span / 2
+
+
+# (score scale, transition span): forward_backward works in probability
+# space below chain.PRODUCT_SPAN and in log space from it on
+MAGNITUDES = [
+    pytest.param(1e3, 6.0, id="large-scores-product"),
+    pytest.param(10.0, 599.9, id="span-just-below-bound"),
+    pytest.param(10.0, 600.1, id="span-just-above-bound"),
+    pytest.param(1e3, 2e3, id="large-transitions-log-space"),
+]
+
+
+class TestMagnitudes:
+    """Both forward-backward paths against enumeration, at and around the
+    span bound that picks between them."""
+
+    @staticmethod
+    def cases(seed, scale, span, count=20):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            T, L = int(rng.integers(1, 6)), int(rng.integers(2, 5))
+            yield (rng.uniform(-scale, scale, (T, L)),
+                   spanned_transitions(rng, L, span))
+
+    @pytest.mark.parametrize("scale, span", MAGNITUDES)
+    def test_matches_enumeration(self, scale, span):
+        for scores, trans in self.cases(30, scale, span):
+            assert (np.ptp(trans) < chain.PRODUCT_SPAN) == (span < 600)
+            log_z, unary, pairwise = chain.forward_backward(scores, trans)
+            expected = brute_log_partition(scores, trans)
+            assert log_z == pytest.approx(expected, rel=1e-13, abs=1e-9)
+            assert np.max(np.abs(
+                unary - brute_unary_marginals(scores, trans))) < 1e-9
+            expected_pairwise = brute_pairwise_marginals(scores, trans)
+            assert pairwise.shape == expected_pairwise.shape
+            if len(scores) > 1:
+                assert np.max(np.abs(pairwise - expected_pairwise)) < 1e-9
+                # rows and columns sum to the unary marginals of each side
+                assert np.max(np.abs(pairwise.sum(axis=2) - unary[:-1])) < 1e-9
+                assert np.max(np.abs(pairwise.sum(axis=1) - unary[1:])) < 1e-9
+
+    @pytest.mark.parametrize("span", [6.0, 599.9, 600.1, 2e3])
+    def test_mixed_packed_batch_equals_per_sentence(self, span):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            L = int(rng.integers(2, 5))
+            trans = spanned_transitions(rng, L, span)
+            scores = [rng.uniform(-scale, scale, (int(rng.integers(1, 7)), L))
+                      for scale in rng.choice([1.0, 10.0, 1e3], 6)]
+            check_packed_forward_backward(scores, trans)
 
 
 def viterbi_masks(rng, L):

@@ -368,9 +368,20 @@ class TestEvaluate:
         assert run(["evaluate", model, weird]) == 1
         assert "B-PROTEIN" in capsys.readouterr().err
 
-    def test_bad_min_flag(self, trained_crf):
+    def test_bad_min_flag(self, trained_crf, tmp_path, capsys):
         model, train_conll, _ = trained_crf
-        assert run(["evaluate", model, train_conll, "--min", "micro_f1"]) == 1
+        for flag, named in [("micro_f1", "metric=value"),
+                            ("micro_f1=high", "not a number"),
+                            ("micro_f2=0.5", "micro_f2"),
+                            ("accuracy=0.5", "accuracy")]:
+            assert run(["evaluate", model, train_conll, "--min", flag]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert named in err
+        # a malformed flag is named before the model is read
+        assert run(["evaluate", tmp_path / "missing.model", train_conll,
+                    "--min", "micro_f1"]) == 1
+        assert "metric=value" in capsys.readouterr().err
 
 
 class TestPredict:

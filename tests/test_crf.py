@@ -8,7 +8,7 @@ from oracles import (
     max_relative_error,
 )
 from toy import make_tagged, toy_corpus
-from raretag import crf
+from raretag import chain, crf
 from raretag.chain import sequence_score
 from raretag.crf import CrfModel, TrainConfig, make_zero_model
 from raretag.features import sentence_features
@@ -74,6 +74,22 @@ class TestLogPartition:
         assert np.max(np.abs(unary.sum(axis=1) - 1.0)) < 1e-10
         assert log_z == pytest.approx(crf.log_partition(model, feats))
         assert pairwise.shape == (4, 4, 4)
+
+
+class TestGatherSum:
+    def test_equals_the_pair_by_pair_loop(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            rows, size, pairs = int(rng.integers(1, 9)), int(rng.integers(1, 9)), 40
+            source = rng.normal(size=(rows, int(rng.integers(1, 6))))
+            take = rng.integers(0, rows, pairs)
+            put = rng.integers(0, size, pairs)
+            expected = np.zeros((size, source.shape[1]))
+            for k in range(pairs):  # the same summation order, so exact
+                expected[put[k]] += source[take[k]]
+            got = crf._gather_sum(source, take, put, size)
+            assert np.array_equal(got, expected)
+            assert got.flags.c_contiguous
 
 
 class TestGradient:
@@ -269,6 +285,23 @@ class TestTrain:
                 for f in feats:
                     first_seen.setdefault(f, len(first_seen))
         assert list(model.feature_index.items()) == list(first_seen.items())
+
+    def test_one_forward_backward_per_objective_evaluation(self, monkeypatch):
+        # perfbench/trace_stage.py counts chain.forward_backward calls and
+        # cells per layer; a training path around it would make them read 0
+        corpus = toy_corpus(seed=10, size=20)
+        rows = []
+        original = chain.forward_backward
+
+        def counted(scores, *args, **kwargs):
+            rows.append(scores.shape[0])
+            return original(scores, *args, **kwargs)
+
+        monkeypatch.setattr(chain, "forward_backward", counted)
+        _, result = crf.train(corpus, TrainConfig(max_iterations=10))
+        assert result.evaluations > 1
+        tokens = sum(len(ts.tokens) for ts in corpus)
+        assert rows == [tokens] * result.evaluations
 
     def test_training_sentence_checks(self):
         with pytest.raises(ValueError, match="empty sentence"):
