@@ -318,29 +318,22 @@ class CorpusStatistics:
         return "\n".join(f"{name:<{width}}  {count:>8,}" for name, count in rows)
 
 
-def corpus_statistics(corpus: Corpus, tokenized=None) -> CorpusStatistics:
+def corpus_statistics(corpus: Corpus) -> CorpusStatistics:
     """Count documents, sentences, tokens and per-type entities.
 
     Entity counts reflect annotation multiplicity before overlap
-    resolution. ``tokenized`` maps doc_id to its sentence list; when
-    omitted, the built-in tokenizer is used.
+    resolution; sentences and tokens come from the built-in tokenizer.
     """
-    if tokenized is None:
-        from . import tokenizer
+    from . import tokenizer
 
-        tokenized = {
-            d.doc_id: tokenizer.tokenize_document(d.text) for d in corpus.documents
-        }
     counts = {t.value: 0 for t in EntityType}
+    sentences = tokens = 0
     for doc in corpus.documents:
         for ent in doc.entities:
             counts[ent.type.value] += 1
-    sentences = sum(len(tokenized.get(d.doc_id, [])) for d in corpus.documents)
-    tokens = sum(
-        len(s.tokens)
-        for d in corpus.documents
-        for s in tokenized.get(d.doc_id, [])
-    )
+        doc_sentences = tokenizer.tokenize_document(doc.text)
+        sentences += len(doc_sentences)
+        tokens += sum(len(s.tokens) for s in doc_sentences)
     return CorpusStatistics(
         corpus.split, len(corpus.documents), sentences, tokens, counts
     )

@@ -54,9 +54,7 @@ def read_conll(content: str) -> list[ConllSentence]:
             )
             offset += len(surface) + 1
         tags = [t for _, _, _, t in rows if t is not None] or None
-        result.append(
-            ConllSentence(doc_id, Sentence(tokens, sent_index=len(result)), tags)
-        )
+        result.append(ConllSentence(doc_id, Sentence(tokens), tags))
         rows, row_lines = [], []
 
     for lineno, line in enumerate(content.splitlines(), start=1):

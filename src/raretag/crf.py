@@ -9,6 +9,8 @@ test-time features are dropped, never grown into the model.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +19,14 @@ from . import chain, iob, lbfgs
 from .features import DEFAULT_WINDOW, sentence_features
 from .iob import TaggedSentence
 from .tokenizer import Sentence
+
+
+def require_finite(config) -> None:
+    """Reject a settings dataclass with a nan or infinite field."""
+    for setting in dataclasses.fields(config):
+        value = getattr(config, setting.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{setting.name} must be finite, got {value}")
 
 
 @dataclass
@@ -29,10 +39,13 @@ class TrainConfig:
     window: int = DEFAULT_WINDOW
 
     def __post_init__(self):
+        require_finite(self)
         if min(self.l2_coefficient, self.l1_coefficient) < 0:
             raise ValueError("regularization coefficients must be >= 0")
         if self.max_iterations < 0 or self.lbfgs_memory < 1:
             raise ValueError("invalid iteration/memory settings")
+        if self.window < 0:
+            raise ValueError(f"window must be >= 0, got {self.window}")
 
 
 def _flat_pairs(indexed: list[np.ndarray],
@@ -71,6 +84,8 @@ class CrfModel:
                              f"does not match ({F}, {L})")
         if self.transition_weights.shape != (L, L):
             raise ValueError("transition_weights shape mismatch")
+        if self.window < 0:
+            raise ValueError(f"window must be >= 0, got {self.window}")
         if not (np.isfinite(self.state_weights).all()
                 and np.isfinite(self.transition_weights).all()):
             raise ValueError("model weights must be finite")
@@ -230,7 +245,6 @@ def build_feature_index(
 def train(
     sentences: list[TaggedSentence],
     config: TrainConfig | None = None,
-    label_set: list[str] | None = None,
     progress=None,
 ) -> tuple[CrfModel, lbfgs.OptimizeResult]:
     """Fit a CRF on tagged sentences; returns the model and optimizer info.
@@ -241,7 +255,7 @@ def train(
     if not sentences:
         raise ValueError("no training sentences")
     config = config or TrainConfig()
-    labels = list(label_set) if label_set else list(iob.TAGS)
+    labels = list(iob.TAGS)
     feature_index, indexed = build_feature_index(sentences, config.window)
     model = make_zero_model(labels, feature_index, config.window)
     batch = _pack([_gold(model, tokens, ts.tags)
@@ -265,39 +279,15 @@ def train(
     return CrfModel(labels, feature_index, state, trans, config.window), result
 
 
-def iob_decode_masks(label_set: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(start_allowed[L], transition_allowed[L, L]) boolean masks.
-
-    An I-X label needs a same-type B-X/I-X predecessor and may not start
-    a sentence. Labels that do not parse as IOB tags are unconstrained.
-    """
-    L = len(label_set)
-    start = np.ones(L, dtype=bool)
-    trans = np.ones((L, L), dtype=bool)
-    parts = []
-    for lab in label_set:
-        try:
-            parts.append(iob.tag_parts(lab))
-        except iob.IobError:
-            parts.append((None, None))
-    for j, (prefix_j, name_j) in enumerate(parts):
-        if prefix_j != "I":
-            continue
-        start[j] = False
-        for i, (prefix_i, name_i) in enumerate(parts):
-            if prefix_i is None or name_i != name_j:
-                trans[i, j] = False
-    return start, trans
-
-
 def decode(scores: np.ndarray, transitions: np.ndarray, label_set: list[str],
            lengths: list[int], constrained: bool = False) -> list[list[str]]:
     """Viterbi labels of sentences with these token counts, decoded as one
     packed batch from the [N, L] scores of their concatenated tokens,
-    optionally restricted to IOB2."""
+    optionally restricted to the moves ``iob.continues`` accepts."""
     start_mask = trans_mask = None
     if constrained:
-        start_mask, trans_mask = iob_decode_masks(label_set)
+        start_mask, trans_mask = (np.array(mask, dtype=bool)
+                                  for mask in iob.decode_masks(label_set))
     batch_sizes, rows = chain.pack(lengths)
     packed = np.empty_like(scores)
     packed[rows] = scores

@@ -6,6 +6,10 @@ range intersects any fragment; per entity the first covered token gets
 B-, every later covered token gets I-. Discontinuous entities are
 flattened this way (only the very first token carries B-), which loses
 the gap: decoding such a sequence yields one span per contiguous run.
+
+``continues(prev, tag)`` is the one IOB2 rule: an I-X tag must follow a B-X
+or I-X tag. ``validate`` reports where it fails, ``decode`` opens a new
+span there, and ``decode_masks`` hands it to the constrained decoder.
 """
 
 from __future__ import annotations
@@ -95,27 +99,29 @@ def encode(sentence: Sentence, entities: list[EntityAnnotation]) -> TaggedSenten
     return TaggedSentence(list(sentence.tokens), tags)
 
 
+def continues(prev: str | None, tag: str) -> bool:
+    """Whether IOB2 lets ``tag`` follow ``prev`` (None at a sentence start):
+    false only for an I-X tag whose predecessor is not B-X or I-X."""
+    prefix, name = tag_parts(tag)
+    return prefix != "I" or (prev is not None and tag_parts(prev)[1] == name)
+
+
 def decode(tags: list[str]) -> list[TypedSpan]:
     """Extract typed spans from any tag sequence, repairing invalid runs.
 
-    An I-X without a same-type B/I predecessor opens a new span (as if it
-    were B-X); an I-Y directly after an X run closes X and opens Y. Total
-    on arbitrary input.
+    A span opens at a B tag, or at an I tag for which ``continues`` is false
+    (an orphan I-X opens as if it were B-X); it closes at the first tag that
+    does not continue it. Total on arbitrary input.
     """
     spans: list[TypedSpan] = []
-    open_type: str | None = None
-    open_start = 0
-    for i, tag in enumerate(tags):
+    open_type, open_start = None, 0
+    for i, (prev, tag) in enumerate(zip([None, *tags], tags)):
         prefix, name = tag_parts(tag)
-        if prefix is None:
-            if open_type is not None:
-                spans.append(TypedSpan(open_type, open_start, i))
-                open_type = None
-        elif prefix == "B" or name != open_type:
-            if open_type is not None:
-                spans.append(TypedSpan(open_type, open_start, i))
-            open_type = name
-            open_start = i
+        if prefix == "I" and continues(prev, tag):
+            continue
+        if open_type is not None:
+            spans.append(TypedSpan(open_type, open_start, i))
+        open_type, open_start = name, i
     if open_type is not None:
         spans.append(TypedSpan(open_type, open_start, len(tags)))
     return spans
@@ -133,15 +139,20 @@ def spans_to_tags(spans: list[TypedSpan], length: int) -> list[str]:
 
 def validate(tags: list[str]) -> list[int]:
     """Indices where an I-X tag lacks a same-type B-X/I-X predecessor."""
-    violations = []
-    for i, tag in enumerate(tags):
-        prefix, name = tag_parts(tag)
-        if prefix != "I":
-            continue
-        if i == 0:
-            violations.append(i)
-            continue
-        prev_prefix, prev_name = tag_parts(tags[i - 1])
-        if prev_prefix is None or prev_name != name:
-            violations.append(i)
-    return violations
+    return [i for i, (prev, tag) in enumerate(zip([None, *tags], tags))
+            if not continues(prev, tag)]
+
+
+def decode_masks(label_set: list[str]) -> tuple[list[bool], list[list[bool]]]:
+    """(start_allowed[L], transition_allowed[L][L]) for a decoder over
+    ``label_set``: the moves ``continues`` accepts. Labels that do not parse
+    as IOB tags are allowed anywhere, and no I-X may follow them."""
+    tags = []
+    for label in label_set:
+        try:
+            tag_parts(label)
+        except IobError:
+            label = OUTSIDE
+        tags.append(label)
+    return ([continues(None, tag) for tag in tags],
+            [[continues(prev, tag) for tag in tags] for prev in tags])

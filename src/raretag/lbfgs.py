@@ -153,10 +153,6 @@ def minimize(
 
     objective, fun = fun, counted
     x = np.asarray(x0, dtype=np.float64).copy()
-    if max_iterations <= 0:
-        f, _ = fun(x)
-        return OptimizeResult(x, f + l1 * np.abs(x).sum(), 0, False,
-                              "max_iterations reached", [f], evaluations)
     f, g = fun(x)
     f_total = f + l1 * np.abs(x).sum()
     trace = [f_total]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chain
-from .crf import decode
+from .crf import decode, require_finite
 from .embeddings import EmbeddingTable
 from .iob import TAGS, TaggedSentence
 from .lstm import LstmCell, backprop_sequence, run_sequence
@@ -45,6 +45,7 @@ class FitConfig:
     gradient_clip_norm: float = 5.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.learning_rate < 0 or self.max_epochs < 0:
             raise ValueError("learning_rate and max_epochs must be >= 0")
         if min(self.patience, self.batch_size, self.hidden_dim) < 1:
@@ -117,7 +118,6 @@ def build_tagger(
     hidden_dim: int = FitConfig.hidden_dim,
     seed: int = FitConfig.seed,
     train_embeddings: bool | None = None,
-    label_set: list[str] | None = None,
 ) -> BiLstmTagger:
     """Materialize embeddings over the training vocabulary and init weights.
 
@@ -140,7 +140,7 @@ def build_tagger(
     if train_embeddings is None:
         train_embeddings = source_table.origin == "random"
     rng = np.random.default_rng(seed)
-    labels = list(label_set) if label_set else list(TAGS)
+    labels = list(TAGS)
     L = len(labels)
     fw = LstmCell.create(source_table.dim, hidden_dim, rng)
     bw = LstmCell.create(source_table.dim, hidden_dim, rng)

@@ -1,15 +1,18 @@
 """Rule-based sentence splitting and tokenization with character offsets.
 
-This is an approximation of a full NLP preprocessing pipeline: sentences
-break on terminal punctuation followed by whitespace and an uppercase
-letter (with a small abbreviation list) and on blank lines; tokens split
-on whitespace with leading/trailing punctuation peeled off. Lemma falls
-back to the lowercased surface and PoS to "X". Projects that need real
-lemmas/PoS tags feed pre-annotated CoNLL through `raretag.conll` instead.
+This is an approximation of a full NLP preprocessing pipeline. Sentences
+break where ``_BREAK_CANDIDATE`` finds terminal punctuation ('.', '!' or
+'?', then any closing quotes or brackets) followed by whitespace and an
+uppercase letter that does not end a listed abbreviation, and at blank
+lines. Tokens are the ``\\S+`` runs of the text with leading/trailing
+punctuation peeled off. Lemma falls back to the lowercased surface and PoS
+to "X". Projects that need real lemmas/PoS tags feed pre-annotated CoNLL
+through `raretag.conll` instead.
 """
 
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import dataclass
 
@@ -21,7 +24,12 @@ ABBREVIATIONS = frozenset(
     }
 )
 
-_TERMINALS = ".!?"
+# Zero-width, so every position is tried. A terminal candidate captures the
+# terminal (1) and the first character after its whitespace (2); a blank-line
+# candidate captures the first character after the blank lines (3).
+_BREAK_CANDIDATE = re.compile(
+    r"(?=([.!?])[\"')\]}]*\s+(\S))|(?=\n[ \t]*\n\s*(\S))"
+)
 _PUNCT = set(string.punctuation)
 
 FALLBACK_POS = "X"
@@ -45,20 +53,11 @@ class Token:
 @dataclass
 class Sentence:
     tokens: list[Token]
-    sent_index: int = 0
 
     def __post_init__(self):
         for a, b in zip(self.tokens, self.tokens[1:]):
             if b.start < a.end:
                 raise ValueError("token offsets overlap or go backwards")
-
-    @property
-    def start(self) -> int:
-        return self.tokens[0].start if self.tokens else 0
-
-    @property
-    def end(self) -> int:
-        return self.tokens[-1].end if self.tokens else 0
 
 
 def _word_ending_at(text: str, pos: int) -> str:
@@ -76,51 +75,20 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
     uppercase letter, and at blank lines. Known abbreviations never split.
     Returns [] for empty or whitespace-only input.
     """
-    if not text.strip():
-        return []
     breaks = [0]
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in _TERMINALS:
-            j = i + 1
-            while j < n and text[j] in "\"')]}":
-                j += 1
-            k = j
-            while k < n and text[k].isspace():
-                k += 1
-            if k > j and k < n and text[k].isupper():
-                if not (ch == "." and _word_ending_at(text, i).lower() in ABBREVIATIONS):
-                    breaks.append(k)
-                    i = k
-                    continue
-        elif ch == "\n":
-            # blank line: a newline followed by optional spaces and another newline
-            j = i + 1
-            while j < n and text[j] in " \t":
-                j += 1
-            if j < n and text[j] == "\n":
-                while j < n and text[j].isspace():
-                    j += 1
-                if j < n and j > i:
-                    breaks.append(j)
-                    i = j
-                    continue
-        i += 1
-    breaks.append(n)
-    spans = []
-    for a, b in zip(breaks, breaks[1:]):
-        if text[a:b].strip():
-            spans.append((a, b))
-    # extend spans so the whole text is covered despite stripping empties
-    covered = [list(s) for s in spans]
-    for idx in range(len(covered) - 1):
-        covered[idx][1] = covered[idx + 1][0]
-    if covered:
-        covered[0][0] = 0
-        covered[-1][1] = n
-    return [tuple(s) for s in covered]
+    for match in _BREAK_CANDIDATE.finditer(text):
+        if match.start() < breaks[-1]:
+            continue  # inside the whitespace before the last break
+        if match.group(3):
+            breaks.append(match.start(3))
+        elif match.group(2).isupper() and not (
+                match.group(1) == "."
+                and _word_ending_at(text, match.start()).lower() in ABBREVIATIONS):
+            breaks.append(match.start(2))
+    breaks.append(len(text))
+    starts = [a for a, b in zip(breaks, breaks[1:]) if text[a:b].strip()]
+    bounds = [0] + starts[1:] + [len(text)]
+    return list(zip(bounds, bounds[1:])) if starts else []
 
 
 def _make_token(surface: str, start: int) -> Token:
@@ -151,26 +119,15 @@ def tokenize(sentence_text: str, base_offset: int = 0) -> list[Token]:
     separate one-character tokens; internal punctuation (hyphens,
     apostrophes) stays inside the token.
     """
-    tokens: list[Token] = []
-    i = 0
-    n = len(sentence_text)
-    while i < n:
-        if sentence_text[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < n and not sentence_text[j].isspace():
-            j += 1
-        tokens.extend(_split_chunk(sentence_text[i:j], base_offset + i))
-        i = j
-    return tokens
+    return [token for chunk in re.finditer(r"\S+", sentence_text)
+            for token in _split_chunk(chunk.group(), base_offset + chunk.start())]
 
 
 def tokenize_document(text: str) -> list[Sentence]:
     """Sentence-split then tokenize; offsets refer to the document text."""
     sentences = []
-    for idx, (start, end) in enumerate(split_sentences(text)):
+    for start, end in split_sentences(text):
         tokens = tokenize(text[start:end], base_offset=start)
         if tokens:
-            sentences.append(Sentence(tokens, sent_index=idx))
+            sentences.append(Sentence(tokens))
     return sentences

@@ -8,9 +8,12 @@ differences, and span metrics from plain set intersection.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
+
+from raretag.iob import validate
 
 
 def enumerate_sequence_scores(
@@ -57,6 +60,27 @@ def brute_viterbi(
     best = int(np.argmax(totals))  # product() yields lexicographic order
     ties = int(np.sum(totals >= totals[best] - tie_tol))
     return [int(v) for v in seqs[best]], float(totals[best]), ties
+
+
+@functools.lru_cache
+def _accepted(label_set: tuple[str, ...], length: int) -> np.ndarray:
+    """Whether ``iob.validate`` accepts each sequence, in the order of
+    ``enumerate_sequence_scores``."""
+    return np.array([not validate(list(seq))
+                     for seq in itertools.product(label_set, repeat=length)])
+
+
+def brute_valid_viterbi(
+    scores: np.ndarray, transitions: np.ndarray, label_set: list[str],
+    tie_tol: float = 1e-9,
+) -> tuple[list[str], int]:
+    """(the highest-scoring label sequence that ``iob.validate`` accepts,
+    the number of accepted sequences within ``tie_tol`` of its score)."""
+    seqs, totals = enumerate_sequence_scores(scores, transitions)
+    totals = np.where(_accepted(tuple(label_set), len(scores)), totals, -np.inf)
+    best = int(np.argmax(totals))
+    ties = int(np.sum(totals >= totals[best] - tie_tol))
+    return [label_set[i] for i in seqs[best]], ties
 
 
 def brute_unary_marginals(scores: np.ndarray, transitions: np.ndarray) -> np.ndarray:

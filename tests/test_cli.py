@@ -126,6 +126,27 @@ class TestConfig:
         for claim in ("`oov_policy` (`{}`)", "OOV policy is `{}` by default"):
             assert claim.format(embeddings.DEFAULT_OOV_POLICY) in text
 
+    def test_out_of_range_settings_are_named(self, tmp_path, capsys):
+        paths = (f"train = {tmp_path}/none.conll\n"
+                 f"model_out = {tmp_path}/never.model\n")
+        heads = {crf.TrainConfig: "model_kind = crf\n",
+                 neural.FitConfig: ("model_kind = bilstm-crf\nvalidation = v\n"
+                                    "embedding = random\n")}
+        cases = [(crf.TrainConfig, "window", "-1")]
+        for config_class in heads:
+            cases += [(config_class, field.name, value)
+                      for field in dataclasses.fields(config_class)
+                      if isinstance(field.default, float)
+                      for value in ("nan", "inf")]
+        assert len(cases) == 11
+        config = tmp_path / "run.cfg"
+        for config_class, key, value in cases:
+            config.write_text(f"{heads[config_class]}{paths}{key} = {value}\n")
+            assert run(["train", config]) == 1, (key, value)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {key} must be "), (key, value, err)
+            assert err.count("\n") == 1
+
     def test_neural_requires_validation_and_embedding(self):
         with pytest.raises(CliError, match="validation"):
             validate_run_config({

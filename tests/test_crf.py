@@ -3,6 +3,7 @@ import pytest
 
 from oracles import (
     brute_log_partition,
+    brute_valid_viterbi,
     brute_viterbi,
     central_difference_gradient,
     max_relative_error,
@@ -185,6 +186,22 @@ class TestViterbi:
             tags = crf.viterbi(model, [feats], constrained=True)[0]
             assert validate(tags) == []
 
+    def test_constrained_output_is_the_best_valid_sequence(self):
+        rng = np.random.default_rng(56)
+        labels = list(TAGS)
+        for _ in range(150):
+            index = {f"f{i}": i for i in range(5)}
+            model = CrfModel(
+                labels, index,
+                rng.normal(0, 2, (len(index), len(labels))),
+                rng.normal(0, 2, (len(labels), len(labels))),
+            )
+            feats = random_features(rng, model, int(rng.integers(1, 5)))
+            scores = model.state_scores(model.index_tokens(feats))
+            expected, ties = brute_valid_viterbi(
+                scores, model.transition_weights, labels)
+            assert ties == 1
+            assert crf.viterbi(model, [feats], constrained=True)[0] == expected
 
     def test_tag_in_passes_equals_one_sentence_decodes(self):
         corpus = toy_corpus(seed=45, size=70)

@@ -7,7 +7,9 @@ from raretag.iob import (
     TAGS,
     IobError,
     TypedSpan,
+    continues,
     decode,
+    decode_masks,
     encode,
     spans_to_tags,
     validate,
@@ -150,7 +152,35 @@ class TestValidate:
     def test_type_switch_flagged(self):
         assert validate(["B-SIGN", "I-DISEASE", "I-DISEASE"]) == [1]
 
+    def test_span_starts_are_b_tags_and_violations(self):
+        rng = np.random.default_rng(10)
+        for _ in range(10_000):
+            tags = random_tags(rng, TYPE_NAMES, int(rng.integers(0, 12)))
+            b_tags = [i for i, tag in enumerate(tags) if tag.startswith("B-")]
+            assert [span.token_start for span in decode(tags)] == sorted(
+                b_tags + validate(tags))
+
     def test_tag_universe(self):
         assert len(TAGS) == 9
         assert TAGS[0] == "O"
         assert len(set(TAGS)) == 9
+
+
+class TestContinues:
+    def test_inside_needs_same_type_predecessor(self):
+        assert continues("B-SIGN", "I-SIGN") and continues("I-SIGN", "I-SIGN")
+        assert not continues(None, "I-SIGN")
+        assert not continues("O", "I-SIGN")
+        assert not continues("I-DISEASE", "I-SIGN")
+        for prev in (None, "O", "I-DISEASE"):
+            assert continues(prev, "O") and continues(prev, "B-SIGN")
+
+    def test_decode_masks_treat_other_labels_as_outside(self):
+        start, trans = decode_masks(["O", "I-SIGN", "x", "B-SIGN"])
+        assert start == [True, False, True, True]
+        assert trans == [
+            [True, False, True, True],
+            [True, True, True, True],
+            [True, False, True, True],
+            [True, True, True, True],
+        ]

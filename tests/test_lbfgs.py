@@ -47,6 +47,13 @@ class TestSmooth:
         assert np.array_equal(result.x, x0)
         assert result.iterations == 0
 
+    def test_zero_iterations_trace_includes_l1(self):
+        result = minimize(quadratic(np.zeros(2), np.ones(2)),
+                          np.array([1.0, -2.0]), max_iterations=0, l1=0.5)
+        assert result.fun == 4.0
+        assert result.trace == [result.fun]
+        assert result.evaluations == 1
+
     def test_already_optimal(self):
         center = np.array([1.0, 1.0])
         result = minimize(quadratic(center, np.ones(2)), center.copy())

@@ -180,8 +180,10 @@ class TestFormat:
         lambda meta, arrays: arrays.reverse(),
         lambda meta, arrays: meta.update(features=meta["features"][:1] * 2),
         lambda meta, arrays: arrays[0][1].fill(np.nan),
+        lambda meta, arrays: meta.update(window=-1),
     ], ids=["no-key", "bad-type", "bad-labels", "extra-array", "missing-array",
-            "swapped-arrays", "duplicate-features", "non-finite"])
+            "swapped-arrays", "duplicate-features", "non-finite",
+            "negative-window"])
     def test_inconsistent_header_is_named(self, tmp_path, corrupt):
         small = crf.make_zero_model(["O", "B-SIGN", "I-SIGN"], {"a": 0, "b": 1})
         kind, meta, arrays = model_io._crf_payload(small)

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import central_difference_gradient, max_relative_error
+from oracles import (
+    brute_valid_viterbi,
+    central_difference_gradient,
+    max_relative_error,
+)
 from toy import make_tagged, toy_corpus
 from raretag import chain, neural
 from raretag.embeddings import random_table
@@ -343,6 +347,26 @@ class TestPredict:
         tagger.head_W[:] = rng.normal(0, 3, tagger.head_W.shape)
         for ts in corpus:
             assert validate(predict(tagger, [ts.tokens], constrained=True)[0]) == []
+
+    @pytest.mark.parametrize("head_kind", [HEAD_SOFTMAX, HEAD_CRF])
+    def test_constrained_output_is_the_best_valid_sequence(self, head_kind):
+        rng = np.random.default_rng(8)
+        tagger, corpus = small_tagger(head_kind, seed=8)
+        L = len(tagger.label_set)
+        transitions = np.zeros((L, L))
+        if tagger.transitions is not None:
+            tagger.transitions[:] = transitions = rng.normal(0, 3, (L, L))
+        tagger.head_W[:] = rng.normal(0, 3, tagger.head_W.shape)
+        for ts in corpus:
+            for start in range(0, len(ts.tokens), 2):
+                tokens = ts.tokens[start:start + 4]
+                scores = forward_sentence(tagger, tokens)
+                if head_kind == HEAD_SOFTMAX:  # each row's log normalizer
+                    scores = np.log(scores)    # is constant over labels
+                expected, ties = brute_valid_viterbi(
+                    scores, transitions, tagger.label_set)
+                assert ties == 1
+                assert predict(tagger, [tokens], constrained=True)[0] == expected
 
     @pytest.mark.parametrize("head_kind", [HEAD_SOFTMAX, HEAD_CRF])
     def test_tag_in_passes_equals_one_sentence_predictions(self, head_kind):

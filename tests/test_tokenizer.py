@@ -42,6 +42,21 @@ class TestSplitSentences:
         assert len(split_sentences("Really? Yes! Fine.")) == 3
 
 
+    @pytest.mark.parametrize("text,spans", [
+        ("He left.) Then came.", [(0, 10), (10, 20)]),
+        ("He has OCD, e.g.\n\nThe end.", [(0, 18), (18, 26)]),
+        ("It ended. then more.", [(0, 20)]),
+        ("Wait?! Yes.", [(0, 7), (7, 11)]),
+        ("A.\n\n\n \nB.", [(0, 7), (7, 9)]),
+        ("A.\n\n", [(0, 4)]),
+        ("See (e.g. The", [(0, 10), (10, 13)]),
+        ("Line one\n \t\nLine two", [(0, 12), (12, 20)]),
+        ('Done."  Next', [(0, 8), (8, 12)]),
+    ])
+    def test_exact_spans(self, text, spans):
+        assert split_sentences(text) == spans
+
+
 class TestTokenize:
     def test_internal_hyphen_kept(self):
         tokens = tokenize("ADCY5-related dyskinesia.")
