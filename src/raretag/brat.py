@@ -9,8 +9,10 @@ offset pairs) are kept as multi-fragment entities at this layer.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 
 
@@ -222,6 +224,9 @@ def parse_brat_pair(
     return Document(doc_id, text_content, entities, resolution_log=warnings)
 
 
+_START, _END = itemgetter(0), itemgetter(1)
+
+
 def resolve_overlaps(doc: Document) -> Document:
     """Reduce entities to a pairwise non-overlapping set.
 
@@ -234,12 +239,24 @@ def resolve_overlaps(doc: Document) -> Document:
         doc.entities, key=lambda e: (-e.covered_length(), e.start, e.id)
     )
     kept: list[EntityAnnotation] = []
+    # (start, end, index in kept) of every kept fragment. They are pairwise
+    # disjoint, so sorted by start they are sorted by end too, and the ones
+    # a fragment overlaps are one run of them, found with bisect.
+    fragments: list[tuple[int, int, int]] = []
     log = list(doc.resolution_log)
     for ent in ranked:
-        winner = next((k for k in kept if k.overlaps(ent)), None)
-        if winner is None:
+        hits = [
+            fragments[i][2]
+            for f in ent.fragments
+            for i in range(bisect_right(fragments, f.start, key=_END),
+                           bisect_left(fragments, f.end, key=_START))
+        ]
+        if not hits:
+            for f in ent.fragments:
+                insort(fragments, (f.start, f.end, len(kept)))
             kept.append(ent)
         else:
+            winner = kept[min(hits)]  # the first-ranked kept entity
             log.append(
                 f"{doc.doc_id}: dropped {ent.id} ({ent.type.value} "
                 f"{ent.start}-{ent.end}), overlaps {winner.id}"

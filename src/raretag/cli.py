@@ -193,12 +193,16 @@ def cmd_convert(args) -> int:
         resolved = brat.resolve_overlaps(doc)
         dropped += len(resolved.resolution_log) - len(doc.resolution_log)
         discontinuous += sum(1 for e in resolved.entities if e.is_discontinuous())
-        for sentence in tokenize_document(resolved.text):
-            tagged = iob.encode(sentence, resolved.entities)
-            out_items.append(
-                conll.ConllSentence(doc.doc_id, sentence, tagged.tags)
-            )
-            sentence_count += 1
+        sentences = tokenize_document(resolved.text)
+        try:
+            tagged = iob.encode_document(sentences, resolved.entities)
+        except iob.IobError as err:
+            raise CliError(f"{doc.doc_id}: {err}") from None
+        out_items.extend(
+            conll.ConllSentence(doc.doc_id, sentence, t.tags)
+            for sentence, t in zip(sentences, tagged)
+        )
+        sentence_count += len(sentences)
     atomic_write_text(args.out_conll, conll.write_conll(out_items))
     print(
         f"converted {len(corpus.documents)} documents, {sentence_count} "

@@ -14,6 +14,7 @@ span there, and ``decode_masks`` hands it to the constrained decoder.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .brat import EntityAnnotation, EntityType
@@ -63,16 +64,6 @@ class TaggedSentence:
             )
 
 
-def _covered_token_indices(
-    sentence: Sentence, entity: EntityAnnotation
-) -> list[int]:
-    covered = []
-    for i, tok in enumerate(sentence.tokens):
-        if any(tok.start < f.end and f.start < tok.end for f in entity.fragments):
-            covered.append(i)
-    return covered
-
-
 def encode(sentence: Sentence, entities: list[EntityAnnotation]) -> TaggedSentence:
     """Tag a sentence's tokens from overlap-resolved entities.
 
@@ -80,10 +71,21 @@ def encode(sentence: Sentence, entities: list[EntityAnnotation]) -> TaggedSenten
     entities claiming the same token means overlap resolution was skipped
     and is a hard error.
     """
-    tags = [OUTSIDE] * len(sentence.tokens)
+    tokens = sentence.tokens
+    ends = [tok.end for tok in tokens]
+    tags = [OUTSIDE] * len(tokens)
     claimed: dict[int, str] = {}
     for ent in entities:
-        covered = _covered_token_indices(sentence, ent)
+        covered: list[int] = []
+        for frag in ent.fragments:
+            # tokens are disjoint and in order: the first one ending after
+            # the fragment's start, then every one starting before its end
+            i = bisect_right(ends, frag.start)
+            if covered and i <= covered[-1]:
+                i = covered[-1] + 1  # a token shared with the last fragment
+            while i < len(tokens) and tokens[i].start < frag.end:
+                covered.append(i)
+                i += 1
         if not covered:
             continue
         for idx in covered:
@@ -96,7 +98,35 @@ def encode(sentence: Sentence, entities: list[EntityAnnotation]) -> TaggedSenten
         tags[covered[0]] = f"B-{ent.type.value}"
         for idx in covered[1:]:
             tags[idx] = f"I-{ent.type.value}"
-    return TaggedSentence(list(sentence.tokens), tags)
+    return TaggedSentence(list(tokens), tags)
+
+
+def encode_document(
+    sentences: list[Sentence], entities: list[EntityAnnotation]
+) -> list[TaggedSentence]:
+    """``encode`` each sentence of one document, in text order, with only the
+    entities whose character range reaches into it.
+
+    One pass over the sentences and the entities sorted by start: an entity
+    joins the open list once it starts before a sentence's end and leaves
+    it once it ends at or before a sentence's start. ``encode`` gets the
+    open entities in start order; for start-sorted input, as
+    ``brat.resolve_overlaps`` returns it, each sentence's tags or error are
+    those of ``encode`` given every entity.
+    """
+    pending = sorted(entities, key=lambda e: e.start)
+    tagged = []
+    open_: list[EntityAnnotation] = []
+    nxt = 0
+    for sentence in sentences:
+        if sentence.tokens:
+            start, end = sentence.tokens[0].start, sentence.tokens[-1].end
+            while nxt < len(pending) and pending[nxt].start < end:
+                open_.append(pending[nxt])
+                nxt += 1
+            open_ = [e for e in open_ if e.end > start]
+        tagged.append(encode(sentence, open_))
+    return tagged
 
 
 def continues(prev: str | None, tag: str) -> bool:

@@ -76,15 +76,20 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
     Returns [] for empty or whitespace-only input.
     """
     breaks = [0]
-    for match in _BREAK_CANDIDATE.finditer(text):
-        if match.start() < breaks[-1]:
-            continue  # inside the whitespace before the last break
+    # Every candidate ends on a non-space character, so none lies past the
+    # last one; after a break the search resumes there, which skips the
+    # whitespace before it and keeps the scan linear in long runs.
+    last = len(text.rstrip())
+    match = _BREAK_CANDIDATE.search(text, 0, last)
+    while match:
         if match.group(3):
             breaks.append(match.start(3))
         elif match.group(2).isupper() and not (
                 match.group(1) == "."
                 and _word_ending_at(text, match.start()).lower() in ABBREVIATIONS):
             breaks.append(match.start(2))
+        match = _BREAK_CANDIDATE.search(
+            text, max(match.start() + 1, breaks[-1]), last)
     breaks.append(len(text))
     starts = [a for a, b in zip(breaks, breaks[1:]) if text[a:b].strip()]
     bounds = [0] + starts[1:] + [len(text)]

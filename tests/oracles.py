@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
-from raretag.iob import validate
+from raretag.brat import Document, EntityAnnotation, EntityType, SpanFragment
+from raretag.iob import OUTSIDE, IobError, TaggedSentence, validate
+from raretag.tokenizer import Sentence, tokenize_document
 
 
 def enumerate_sequence_scores(
@@ -213,3 +216,103 @@ def random_tags(rng: np.random.Generator, types: list[str],
     """Arbitrary tags, valid or not."""
     universe = ["O"] + [f"{p}-{t}" for t in types for p in "BI"]
     return [universe[rng.integers(len(universe))] for _ in range(length)]
+
+
+def brute_resolve_overlaps(doc: Document) -> Document:
+    """``brat.resolve_overlaps`` by testing each candidate against every kept
+    entity in rank order: the winner is the first kept one that overlaps."""
+    ranked = sorted(
+        doc.entities, key=lambda e: (-e.covered_length(), e.start, e.id)
+    )
+    kept: list[EntityAnnotation] = []
+    log = list(doc.resolution_log)
+    for ent in ranked:
+        winner = next((k for k in kept if k.overlaps(ent)), None)
+        if winner is None:
+            kept.append(ent)
+        else:
+            log.append(
+                f"{doc.doc_id}: dropped {ent.id} ({ent.type.value} "
+                f"{ent.start}-{ent.end}), overlaps {winner.id}"
+            )
+    kept.sort(key=lambda e: (e.start, e.id))
+    return replace(doc, entities=kept, resolution_log=log)
+
+
+def brute_encode(sentence: Sentence,
+                 entities: list[EntityAnnotation]) -> TaggedSentence:
+    """``iob.encode`` by testing every token against every fragment."""
+    tags = [OUTSIDE] * len(sentence.tokens)
+    claimed: dict[int, str] = {}
+    for ent in entities:
+        covered = [
+            i for i, tok in enumerate(sentence.tokens)
+            if any(tok.start < f.end and f.start < tok.end
+                   for f in ent.fragments)
+        ]
+        for idx in covered:
+            if idx in claimed:
+                raise IobError(
+                    f"token {idx} claimed by both {claimed[idx]} and {ent.id}; "
+                    "entities must be overlap-resolved before encoding"
+                )
+            claimed[idx] = ent.id
+        for k, idx in enumerate(covered):
+            tags[idx] = f"{'I' if k else 'B'}-{ent.type.value}"
+    return TaggedSentence(list(sentence.tokens), tags)
+
+
+_WORDS = ["Anemia-like", "skin", "rash", "(severe)", "hyperkeratosis", "of",
+          "e.g.", "fever,", "Velmora", "it's", "\"pain\""]
+_ENDS = [". ", "? ", ".\n\n", ". \n", "! ", ", ", "; "]
+
+
+def random_brat_document(rng: np.random.Generator,
+                         max_sentences: int = 5) -> Document:
+    """A short document with entities drawn to stress overlap resolution and
+    encoding: random fragments (nested and crossing), copies and shifts of
+    earlier ones, discontinuous entities, fragments that cross a sentence
+    break, and pairs of character-disjoint entities inside one token."""
+    parts = []
+    for _ in range(int(rng.integers(1, max_sentences + 1))):
+        words = [_WORDS[i] for i in rng.integers(len(_WORDS),
+                                                 size=int(rng.integers(1, 7)))]
+        parts.append(" ".join(words) + _ENDS[rng.integers(len(_ENDS))])
+    text = "".join(parts)
+    n = len(text)
+    tokens = [t for s in tokenize_document(text) for t in s.tokens]
+    spans: list[list[tuple[int, int]]] = []
+    for _ in range(int(rng.integers(0, 10))):
+        kind = rng.integers(6)
+        if kind == 0 or not spans:  # anywhere, often across a break
+            s = int(rng.integers(n))
+            spans.append([(s, int(rng.integers(s + 1, min(n, s + 40) + 1)))])
+        elif kind == 1:  # nested in, or crossing, an earlier fragment
+            a, b = spans[rng.integers(len(spans))][0]
+            s = int(np.clip(a + rng.integers(-3, 4), 0, n - 1))
+            e = int(np.clip(b + rng.integers(-3, 4), s + 1, n))
+            spans.append([(s, e)])
+        elif kind == 2:  # an exact copy, so the id breaks the tie
+            spans.append(list(spans[rng.integers(len(spans))]))
+        elif kind == 3:  # discontinuous; fragments may touch
+            cuts = sorted(int(c) for c in rng.integers(n + 1, size=4))
+            frags = [(cuts[0], cuts[1]), (cuts[2], cuts[3])]
+            if all(a < b for a, b in frags):
+                spans.append(frags)
+        elif kind == 4 and tokens:  # whole tokens
+            i = int(rng.integers(len(tokens)))
+            j = min(len(tokens) - 1, i + int(rng.integers(3)))
+            spans.append([(tokens[i].start, tokens[j].end)])
+        elif tokens:  # two entities sharing one token, disjoint in characters
+            tok = tokens[rng.integers(len(tokens))]
+            if tok.end - tok.start > 1:
+                cut = int(rng.integers(tok.start + 1, tok.end))
+                spans += [[(tok.start, cut)], [(cut, tok.end)]]
+    ids = rng.permutation(len(spans) * 2)[:len(spans)] + 1
+    types = list(EntityType)
+    entities = [
+        EntityAnnotation(f"T{i}", types[rng.integers(len(types))],
+                         tuple(SpanFragment(s, e) for s, e in frags), "")
+        for i, frags in zip(ids, spans)
+    ]
+    return Document("doc", text, entities)

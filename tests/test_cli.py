@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from raretag import chain, cli, conll, crf, embeddings, neural
+from raretag import (
+    brat, chain, cli, conll, crf, embeddings, iob, neural, synthetic,
+)
 from raretag.cli import CliError, parse_config, validate_run_config
 from raretag.lbfgs import LineSearchError
 
@@ -196,6 +198,53 @@ class TestConvert:
         (corpus / "d.ann").write_text("T1\tSIGN 6 12\tanemXa\n")
         assert run(["convert", corpus, tmp_path / "o.conll"]) == 1
         assert run(["convert", corpus, tmp_path / "o.conll", "--lenient"]) == 0
+
+    def test_shared_token_conflict_names_the_document(self, tmp_path, capsys):
+        # character-disjoint, so both survive overlap resolution
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "doc1.txt").write_text("Notable skin hyperkeratosis.")
+        (corpus / "doc1.ann").write_text(
+            "T1\tSIGN 13 18\thyper\nT2\tSIGN 18 27\tkeratosis\n"
+        )
+        assert run(["convert", corpus, tmp_path / "o.conll"]) == 1
+        assert capsys.readouterr().err == (
+            "error: doc1: token 2 claimed by both T1 and T2; entities must be "
+            "overlap-resolved before encoding\n"
+        )
+
+    def test_encode_sees_each_entity_about_once(self, tmp_path, monkeypatch):
+        # one ~30k-token document: 800 synthetic documents joined
+        text, entities = "", []
+        config = synthetic.SyntheticConfig(seed=3, size=800)
+        for doc in synthetic.generate_corpus(config):
+            offset = len(text)
+            text += doc.text + "\n\n"
+            entities += [dataclasses.replace(
+                e, id=f"T{len(entities) + k + 1}",
+                fragments=tuple(brat.SpanFragment(f.start + offset, f.end + offset)
+                                for f in e.fragments),
+            ) for k, e in enumerate(doc.entities)]
+        doc = brat.Document("big", text, entities)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for suffix, content in zip((".txt", ".ann"), brat.document_to_brat(doc)):
+            (corpus / f"big{suffix}").write_text(content)
+
+        passed = []
+        encode = iob.encode
+
+        def counting_encode(sentence, entities):
+            passed.append(len(entities))
+            return encode(sentence, entities)
+
+        monkeypatch.setattr(iob, "encode", counting_encode)
+        assert run(["convert", corpus, tmp_path / "o.conll"]) == 0
+        kept = len(brat.resolve_overlaps(doc).entities)
+        items = conll.read_conll((tmp_path / "o.conll").read_text())
+        assert sum(len(item.sentence.tokens) for item in items) > 29_000
+        assert len(passed) == len(items) and kept > 5000
+        assert sum(passed) <= 2 * (kept + len(passed))
 
 
 class TestTrain:

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from oracles import random_tags, random_valid_iob
-from raretag.brat import EntityAnnotation, EntityType, SpanFragment
+from oracles import (
+    brute_encode,
+    brute_resolve_overlaps,
+    random_brat_document,
+    random_tags,
+    random_valid_iob,
+)
+from raretag.brat import (
+    EntityAnnotation, EntityType, SpanFragment, resolve_overlaps,
+)
 from raretag.iob import (
     TAGS,
     IobError,
@@ -11,10 +19,11 @@ from raretag.iob import (
     decode,
     decode_masks,
     encode,
+    encode_document,
     spans_to_tags,
     validate,
 )
-from raretag.tokenizer import Sentence, Token
+from raretag.tokenizer import Sentence, Token, tokenize_document
 
 TYPE_NAMES = [t.value for t in EntityType]
 
@@ -100,6 +109,81 @@ class TestEncode:
                 i = j
             tagged = encode(sent, entities)
             assert validate(tagged.tags) == []
+
+    def test_shared_boundary_token_counted_once(self):
+        sent = make_sentence(["anemia-like", "rash"])
+        ent = entity("T1", EntityType.SIGN, (0, 6), (7, 11), (12, 16))
+        assert encode(sent, [ent]).tags == ["B-SIGN", "I-SIGN"]
+
+    def test_document_entities_reach_only_their_sentences(self):
+        sentences = [make_sentence(["a", "b"]), make_sentence(["c"], start=10)]
+        ents = [
+            entity("T2", EntityType.SIGN, (2, 3), (10, 11)),  # spans the break
+            entity("T1", EntityType.DISEASE, (0, 1)),
+            entity("T3", EntityType.SYMPTOM, (5, 8)),  # between the sentences
+        ]
+        assert [t.tags for t in encode_document(sentences, ents)] == [
+            ["B-DISEASE", "B-SIGN"], ["B-SIGN"],
+        ]
+        assert encode_document([Sentence([])], ents)[0].tags == []
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
+def _brute_encode_document(sentences, entities):
+    return [brute_encode(s, entities) for s in sentences]
+
+
+class TestAgainstBruteForce:
+    """Seeded fuzz of the convert path against the scan-everything oracles."""
+
+    def test_resolve_and_encode_document_match(self):
+        rng = np.random.default_rng(2024)
+        seen = dict.fromkeys(
+            ["dropped", "raised", "discontinuous", "crosses_break"], 0)
+        for _ in range(3000):
+            doc = random_brat_document(rng)
+            resolved = resolve_overlaps(doc)
+            expected = brute_resolve_overlaps(doc)
+            assert [e.id for e in resolved.entities] == [
+                e.id for e in expected.entities]
+            assert resolved.resolution_log == expected.resolution_log
+            assert resolved.entities == expected.entities
+
+            sentences = tokenize_document(doc.text)
+            got = _outcome(encode_document, sentences, resolved.entities)
+            assert got == _outcome(
+                _brute_encode_document, sentences, expected.entities)
+
+            seen["dropped"] += bool(resolved.resolution_log)
+            seen["raised"] += isinstance(got, tuple)
+            seen["discontinuous"] += any(
+                e.is_discontinuous() for e in resolved.entities)
+            ends = [s.tokens[-1].end for s in sentences]
+            seen["crosses_break"] += any(
+                e.start < end < e.end for e in resolved.entities for end in ends)
+        assert all(count >= 300 for count in seen.values()), seen
+
+    def test_encode_matches_on_unresolved_entity_lists(self):
+        # encode is total over any entity list, in any order; the document
+        # walk hands it the entities in start order
+        rng = np.random.default_rng(77)
+        for _ in range(1500):
+            doc = random_brat_document(rng)
+            ents = [doc.entities[i] for i in rng.permutation(len(doc.entities))]
+            sentences = tokenize_document(doc.text)
+            for sentence in sentences:
+                assert _outcome(encode, sentence, ents) == _outcome(
+                    brute_encode, sentence, ents)
+            by_start = sorted(ents, key=lambda e: e.start)
+            assert _outcome(encode_document, sentences, ents) == _outcome(
+                _brute_encode_document, sentences, by_start)
 
 
 class TestDecode:

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from raretag import tokenizer
 from raretag.conll import ConllParseError, ConllSentence, read_conll, write_conll
 from raretag.tokenizer import (
     Sentence,
@@ -55,6 +58,41 @@ class TestSplitSentences:
     ])
     def test_exact_spans(self, text, spans):
         assert split_sentences(text) == spans
+
+    @pytest.mark.parametrize("text,spans", [
+        ("A." + "\n" * 4000 + "B.", [(0, 4002), (4002, 4004)]),
+        ("A." + "\n" * 4000, [(0, 4002)]),
+    ], ids=["text-after-run", "run-at-end"])
+    def test_long_whitespace_runs_are_searched_once(self, monkeypatch, text,
+                                                    spans):
+        pattern = _CountingPattern(tokenizer._BREAK_CANDIDATE)
+        monkeypatch.setattr(tokenizer, "_BREAK_CANDIDATE", pattern)
+        assert split_sentences(text) == spans
+        assert pattern.matches <= 4
+        assert pattern.reach <= len(text.rstrip())
+
+
+class _CountingPattern:
+    """Stands in for a compiled pattern: counts the matches it returns and
+    the furthest text position any search may read."""
+
+    def __init__(self, pattern):
+        self.pattern, self.matches, self.reach = pattern, 0, 0
+
+    def _offered(self, string, endpos):
+        self.reach = max(self.reach, min(len(string), endpos))
+
+    def search(self, string, pos=0, endpos=sys.maxsize):
+        self._offered(string, endpos)
+        match = self.pattern.search(string, pos, endpos)
+        self.matches += match is not None
+        return match
+
+    def finditer(self, string, pos=0, endpos=sys.maxsize):
+        self._offered(string, endpos)
+        for match in self.pattern.finditer(string, pos, endpos):
+            self.matches += 1
+            yield match
 
 
 class TestTokenize:
