@@ -1,7 +1,10 @@
-"""Durable, atomic file writes, free of numpy so that every command can use
-them. Data goes to a unique temp file in the target directory, is flushed
-to disk and renamed over the target, so a failed write never leaves a
-partial file behind and concurrent writers never share a temp file.
+"""File I/O, free of numpy so that every command can use it.
+
+Writes are durable and atomic: data goes to a unique temp file in the
+target directory, is flushed to disk and renamed over the target, so a
+failed write never leaves a partial file behind and concurrent writers
+never share a temp file. Reads decode UTF-8 and report a file that is not
+UTF-8 as the reader's own named error.
 """
 
 from __future__ import annotations
@@ -33,3 +36,12 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def read_utf8(path: str | Path, error: type[Exception]) -> str:
+    """The text of a UTF-8 file; undecodable bytes raise ``error`` naming
+    the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise error(f"{path}: {err}") from None

@@ -15,9 +15,12 @@ from enum import Enum
 from operator import itemgetter
 from pathlib import Path
 
+from .atomic import read_utf8
+
 
 class BratParseError(ValueError):
-    """Malformed .ann content (bad offsets, unknown type, ragged line)."""
+    """Malformed .ann content (a line off the T-line grammar, an unknown
+    type, bad offsets, a repeated id) or a pair file that is not UTF-8."""
 
 
 class BratIntegrityError(ValueError):
@@ -115,7 +118,11 @@ class Corpus:
             raise ValueError(f"corpus {self.split}: duplicate doc_ids")
 
 
-_T_LINE = re.compile(r"^(T\S*)\t([^\t]+)\t?(.*)$", re.DOTALL)
+# A T line: id TAB type SPACE offset pairs [TAB surface]. A pair is two
+# decimal numbers; blanks are any whitespace but the tab before the surface.
+_PAIR = r"[^\S\t]*\d+[^\S\t]+\d+[^\S\t]*"
+_T_LINE = re.compile(rf"(T\S*)\t([^\t ]*) ({_PAIR}(?:;{_PAIR})*)(?:\t(.*))?")
+_TYPES = {t.value: t for t in EntityType}
 
 
 def _utf16_to_codepoint_map(text: str) -> dict[int, int]:
@@ -154,42 +161,26 @@ def parse_brat_pair(
 
     entities: list[EntityAnnotation] = []
     warnings: list[str] = []
-    for lineno, raw in enumerate(ann_content.splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            continue
+    for lineno, line in enumerate(ann_content.splitlines(), start=1):
         if not line.startswith("T"):
             continue  # relations/events/attributes/notes are out of scope
-        m = _T_LINE.match(line)
+        m = _T_LINE.fullmatch(line)
         if m is None:
-            raise BratParseError(f"{doc_id}.ann line {lineno}: malformed T line")
-        ann_id, type_and_spans, surface = m.groups()
-        head = type_and_spans.split(" ", 1)
-        if len(head) != 2:
             raise BratParseError(
-                f"{doc_id}.ann line {lineno}: missing offsets after type"
+                f"{doc_id}.ann line {lineno}: malformed T line {line!r}"
             )
-        type_label, span_text = head
+        ann_id, type_label, span_text, surface = m.groups("")
 
-        try:
-            etype = EntityType(type_label)
-        except ValueError:
-            if alias_table and type_label in alias_table:
-                etype = alias_table[type_label]
-            else:
-                raise BratParseError(
-                    f"{doc_id}.ann line {lineno}: unknown entity type "
-                    f"{type_label!r} (no alias given)"
-                ) from None
+        etype = _TYPES.get(type_label) or (alias_table or {}).get(type_label)
+        if etype is None:
+            raise BratParseError(
+                f"{doc_id}.ann line {lineno}: unknown entity type "
+                f"{type_label!r} (no alias given)"
+            )
 
         fragments = []
         for pair in span_text.split(";"):
-            parts = pair.split()
-            if len(parts) != 2 or not all(p.isdigit() for p in parts):
-                raise BratParseError(
-                    f"{doc_id}.ann line {lineno}: malformed offset pair {pair!r}"
-                )
-            start, end = int(parts[0]), int(parts[1])
+            start, end = map(int, pair.split())
             if u16map is not None:
                 try:
                     start, end = u16map[start], u16map[end]
@@ -217,11 +208,16 @@ def parse_brat_pair(
             else:
                 raise BratIntegrityError(msg)
 
-        entities.append(
-            EntityAnnotation(ann_id, etype, tuple(fragments), covered)
-        )
+        try:
+            entity = EntityAnnotation(ann_id, etype, tuple(fragments), covered)
+        except ValueError as err:  # fragments overlap each other
+            raise BratParseError(f"{doc_id}.ann line {lineno}: {err}") from None
+        entities.append(entity)
 
-    return Document(doc_id, text_content, entities, resolution_log=warnings)
+    try:
+        return Document(doc_id, text_content, entities, resolution_log=warnings)
+    except ValueError as err:  # a duplicate id
+        raise BratParseError(str(err)) from None
 
 
 _START, _END = itemgetter(0), itemgetter(1)
@@ -266,11 +262,16 @@ def resolve_overlaps(doc: Document) -> Document:
 
 
 def document_to_brat(doc: Document) -> tuple[str, str]:
-    """Serialize a Document back to (txt_content, ann_content)."""
+    """Serialize a Document back to (txt_content, ann_content).
+
+    A surface that holds a line break would end its line, so it is left
+    out; the reader then takes the text at the offsets."""
     lines = []
     for ent in doc.entities:
         spans = ";".join(f"{f.start} {f.end}" for f in ent.fragments)
-        lines.append(f"{ent.id}\t{ent.type.value} {spans}\t{ent.surface}")
+        head = f"{ent.id}\t{ent.type.value} {spans}"
+        line = f"{head}\t{ent.surface}"
+        lines.append(line if line.splitlines() == [line] else head)
     return doc.text, "".join(line + "\n" for line in lines)
 
 
@@ -300,8 +301,8 @@ def load_corpus_dir(
     for stem in sorted(txts.keys() & anns.keys()):
         documents.append(
             parse_brat_pair(
-                txts[stem].read_text(encoding="utf-8"),
-                anns[stem].read_text(encoding="utf-8"),
+                read_utf8(txts[stem], BratParseError),
+                read_utf8(anns[stem], BratParseError),
                 stem,
                 alias_table=alias_table,
                 lenient=lenient,

@@ -16,13 +16,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
 from pathlib import Path
 
 from . import brat, conll, iob, metrics, synthetic
-from .atomic import atomic_write_text
+from .atomic import atomic_write_text, read_utf8
 from .iob import TaggedSentence
 from .tokenizer import tokenize_document
 
@@ -148,8 +149,11 @@ def _resolve_config_path(path_arg: str) -> Path:
 # ---------------------------------------------------------------- helpers
 
 def _read_tagged_conll(path: str | Path, need_tags: bool = True):
-    content = Path(path).read_text(encoding="utf-8")
-    items = conll.read_conll(content)
+    content = read_utf8(path, conll.ConllParseError)
+    try:
+        items = conll.read_conll(content)
+    except conll.ConllParseError as err:  # it names the line, not the file
+        raise conll.ConllParseError(f"{path} {err}") from None
     if need_tags:
         missing = [i for i, item in enumerate(items) if item.tags is None]
         if missing:
@@ -226,16 +230,18 @@ def _build_embedding_source(cfg: dict, train_sents, seed: int):
         )
     if not Path(source).exists():
         raise CliError(f"embedding file not found: {source}")
-    return embeddings.load_text_format(source, seed=seed, **policy)
+    table = embeddings.load_text_format(source, seed=seed, **policy)
+    if cfg.get("embedding_dim", table.dim) != table.dim:
+        raise CliError(f"embedding_dim = {cfg['embedding_dim']}, but {source} "
+                       f"holds {table.dim}-wide vectors")
+    return table
 
 
 def cmd_train(args) -> int:
     from . import crf, lbfgs, model_io, neural
 
     config_path = _resolve_config_path(args.config)
-    cfg = validate_run_config(parse_config(
-        config_path.read_text(encoding="utf-8")
-    ))
+    cfg = validate_run_config(parse_config(read_utf8(config_path, CliError)))
     kind = cfg["model_kind"]
     config_class = _config_class(kind)
     fields = {f.name for f in dataclasses.fields(config_class)}
@@ -330,9 +336,12 @@ def _parse_min_flags(pairs: list[str]) -> dict[str, float]:
         if not sep:
             raise CliError(f"--min expects metric=value, got {pair!r}")
         try:
-            thresholds[name.strip()] = float(value)
+            bound = float(value)
         except ValueError:
             raise CliError(f"--min {pair!r}: not a number") from None
+        if not math.isfinite(bound):
+            raise CliError(f"--min {pair!r}: the bound must be finite")
+        thresholds[name.strip()] = bound
     return thresholds
 
 

@@ -34,68 +34,52 @@ def read_conll(content: str) -> list[ConllSentence]:
     """
     result: list[ConllSentence] = []
     doc_id: str | None = None
-    rows: list[tuple[str, str, str, str | None]] = []
-    row_lines: list[int] = []
-
-    def flush():
-        nonlocal rows, row_lines
-        if not rows:
-            return
-        widths = {4 if tag is not None else 3 for _, _, _, tag in rows}
-        if len(widths) != 1:
-            raise ConllParseError(
-                f"line {row_lines[-1]}: mixed column counts within a sentence"
-            )
-        tokens = []
-        offset = 0
-        for surface, lemma, pos, _ in rows:
-            tokens.append(
-                Token(surface, offset, offset + len(surface), lemma, pos)
-            )
-            offset += len(surface) + 1
-        tags = [t for _, _, _, t in rows if t is not None] or None
-        result.append(ConllSentence(doc_id, Sentence(tokens), tags))
-        rows, row_lines = [], []
-
-    for lineno, line in enumerate(content.splitlines(), start=1):
-        if not line.strip():
-            flush()
-            continue
-        if line.startswith("#"):
-            flush()
-            stripped = line[1:].strip()
-            if stripped.startswith("doc_id"):
-                _, _, value = stripped.partition("=")
-                doc_id = value.strip() or None
+    tokens: list[Token] = []  # of the open sentence
+    tags: list[str] = []
+    offset = width = 0
+    for lineno, line in enumerate(content.splitlines() + [""], start=1):
+        if not line.strip() or line.startswith("#"):  # ends the open sentence
+            if tokens:
+                result.append(ConllSentence(doc_id, Sentence(tokens),
+                                            tags if width == 4 else None))
+                tokens, tags, offset = [], [], 0
+            if line.startswith("#"):
+                comment = line[1:].strip()
+                if comment.startswith("doc_id"):
+                    doc_id = comment.partition("=")[2].strip() or None
             continue
         cols = line.split("\t")
-        if len(cols) == 3:
-            surface, lemma, pos = cols
-            tag = None
-        elif len(cols) == 4:
-            surface, lemma, pos, tag = cols
-        else:
-            raise ConllParseError(
-                f"line {lineno}: expected 3 or 4 tab-separated columns, "
-                f"got {len(cols)}"
-            )
+        if len(cols) != width:
+            if len(cols) not in (3, 4):
+                raise ConllParseError(
+                    f"line {lineno}: expected 3 or 4 tab-separated columns, "
+                    f"got {len(cols)}"
+                )
+            if tokens:
+                raise ConllParseError(
+                    f"line {lineno}: mixed column counts within a sentence"
+                )
+            width = len(cols)
+        surface = cols[0]
         if not surface:
             raise ConllParseError(f"line {lineno}: empty surface column")
-        rows.append((surface, lemma or surface.lower(), pos or "X", tag))
-        row_lines.append(lineno)
-    flush()
+        tokens.append(Token(surface, offset, offset + len(surface),
+                            cols[1] or surface.lower(), cols[2] or "X"))
+        offset += len(surface) + 1
+        if width == 4:
+            tags.append(cols[3])
     return result
 
 
 def write_conll(sentences: list[ConllSentence]) -> str:
     """Render sentences back to CoNLL TSV with doc_id comment lines."""
     out = []
-    current_doc = object()  # sentinel distinct from None
+    current_doc = None  # as the reader starts
     for item in sentences:
         if item.doc_id != current_doc:
             current_doc = item.doc_id
-            if item.doc_id is not None:
-                out.append(f"# doc_id = {item.doc_id}")
+            out.append(f"# doc_id = {item.doc_id}" if item.doc_id is not None
+                       else "# doc_id =")
         tags = item.tags
         if tags is not None and len(tags) != len(item.sentence.tokens):
             raise ValueError("tag count does not match token count")

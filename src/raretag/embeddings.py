@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import read_utf8
+
 OOV_POLICIES = ("zeros", "random_seeded", "mean_vector")
 DEFAULT_OOV_POLICY = "random_seeded"
 
@@ -98,22 +100,19 @@ def load_text_format(
     ``count dim`` header. Duplicate words keep their first vector; the
     number of duplicates is recorded on the table.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    rows = [(n, line) for n, line in enumerate(lines, start=1) if line.strip()]
-    if not rows:
-        raise EmbeddingParseError(f"{path}: empty embedding file")
-
-    first_fields = rows[0][1].split()
-    if len(first_fields) == 2 and all(f.lstrip("-").isdigit() for f in first_fields):
-        rows = rows[1:]
-        if not rows:
-            raise EmbeddingParseError(f"{path}: header but no vectors")
-
     vocab: dict[str, int] = {}
     vectors: list[np.ndarray] = []
-    dim = None
+    dim = header = None  # both set by the first line with content
     duplicates = 0
-    for lineno, line in rows:
+    lines = read_utf8(path, EmbeddingParseError).splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        if header is None:
+            head = line.split()
+            header = len(head) == 2 and all(f.lstrip("-").isdigit() for f in head)
+            if header:
+                continue
         fields = line.rstrip().split(" ")
         word, values = fields[0], fields[1:]
         if dim is None:
@@ -128,14 +127,17 @@ def load_text_format(
             duplicates += 1
             continue
         try:
-            vec = np.array([float(v) for v in values])
+            vectors.append(np.array([float(v) for v in values]))
         except ValueError:
             raise EmbeddingParseError(
                 f"{path} line {lineno}: non-numeric vector value"
             ) from None
-        vocab[word] = len(vectors)
-        vectors.append(vec)
-
+        vocab[word] = len(vocab)
+    if dim is None:
+        raise EmbeddingParseError(
+            f"{path}: header but no vectors" if header
+            else f"{path}: empty embedding file"
+        )
     return EmbeddingTable(
         dim, vocab, np.vstack(vectors), oov_policy, seed, duplicates
     )

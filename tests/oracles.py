@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's dynamic-programming and backprop
 code paths: partition functions and argmax sequences come from explicit
-enumeration over all label sequences, gradients from central finite
-differences, and span metrics from plain set intersection.
+enumeration over all label sequences, gradients from enumerated marginals
+and from central finite differences, and span metrics from plain set
+intersection.
 """
 
 from __future__ import annotations
@@ -109,6 +110,19 @@ def brute_pairwise_marginals(scores: np.ndarray,
     for t in range(T - 1):
         np.add.at(marg[t], (seqs[:, t], seqs[:, t + 1]), weights)
     return marg
+
+
+def brute_nll_gradients(scores: np.ndarray, transitions: np.ndarray,
+                        gold: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of -log p(gold) for one sentence wrt scores [T, L] and
+    transitions [L, L], by enumeration: the unary marginals minus the gold
+    one-hots, and the summed pairwise marginals minus the gold transition
+    counts."""
+    d_scores = brute_unary_marginals(scores, transitions)
+    d_scores[np.arange(len(gold)), gold] -= 1.0
+    d_trans = brute_pairwise_marginals(scores, transitions).sum(axis=0)
+    np.add.at(d_trans, (gold[:-1], gold[1:]), -1.0)
+    return d_scores, d_trans
 
 
 def central_difference_gradient(fun, x: np.ndarray, step: float = 1e-5) -> np.ndarray:

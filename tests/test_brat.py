@@ -63,6 +63,29 @@ class TestParse:
         with pytest.raises(BratParseError, match="line 2"):
             parse_brat_pair("X has anemia.", bad, "d1")
 
+    @pytest.mark.parametrize("ann, expected", [
+        ("T1\tSIGN 6 12\tanemia", [(6, 12)]),
+        # blanks are any whitespace but a tab; digits any decimal digit
+        ("T1\tSIGN  0 \u2003 1 ;6 12\tX anemia", [(0, 1), (6, 12)]),
+        ("T1\tSIGN \u0666 12\tanemia", [(6, 12)]),
+        # the surface starts after the first tab, so here it is "\tanemia"
+        ("T1\tSIGN 6 12\t\tanemia", BratIntegrityError),
+        ("T1\tSIGN 6\t12\tanemia", BratParseError),
+        ("T1\tSIGN 6 12;\tanemia", BratParseError),
+        ("T1\tSIGN \u00b2 12\tanemia", BratParseError),
+        ("T1\xa0\tSIGN 6 12\tanemia", BratParseError),
+        ("T1\tSIGN 6 9;8 12", BratParseError),  # fragments overlap
+        ("T1\tSIGN 6 12\nT1\tSIGN 6 12", BratParseError),  # a repeated id
+    ])
+    def test_t_line_grammar(self, ann, expected):
+        if isinstance(expected, list):
+            doc = parse_brat_pair("X has anemia.", ann, "d1")
+            fragments = [(f.start, f.end) for f in doc.entities[0].fragments]
+            assert fragments == expected
+        else:
+            with pytest.raises(expected):
+                parse_brat_pair("X has anemia.", ann, "d1")
+
     def test_out_of_bounds_offsets(self):
         with pytest.raises(BratParseError, match="out of bounds"):
             parse_brat_pair("short", "T1\tSIGN 0 99\tshort", "d1")

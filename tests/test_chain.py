@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     brute_log_partition,
+    brute_nll_gradients,
     brute_pairwise_marginals,
     brute_unary_marginals,
     brute_viterbi,
@@ -128,6 +129,20 @@ class TestNllAndGradients:
             assert max_relative_error(d_scores, fd_scores) < 1e-6
             assert max_relative_error(d_trans, fd_trans) < 1e-6
 
+    def test_gradients_match_enumeration(self):
+        rng = np.random.default_rng(24)
+        for _ in range(300):
+            scores, gold, trans = ragged_batch(rng, max_t=4, max_sentences=3)
+            sizes, row_of = pack(scores)
+            _, d_scores, d_trans = chain.nll_and_gradients(
+                packed(scores, row_of), trans, packed(gold, row_of), sizes)
+            expected = [brute_nll_gradients(s, trans, g)
+                        for s, g in zip(scores, gold)]
+            assert np.max(np.abs(
+                d_scores - packed([e[0] for e in expected], row_of))) < 1e-10
+            assert np.max(np.abs(
+                d_trans - sum(e[1] for e in expected))) < 1e-10
+
     def test_single_token_has_zero_transition_gradient(self):
         for scores, trans, gold in self.cases(1):
             _, _, d_trans = chain.nll_and_gradients(scores, trans, gold)
@@ -135,11 +150,12 @@ class TestNllAndGradients:
             assert np.all(d_trans == 0.0)
 
 
-def ragged_batch(rng):
-    """1-8 sentences of T = 1..6 tokens over one label set, as
-    (per-sentence scores, per-sentence gold, transitions)."""
+def ragged_batch(rng, max_t=6, max_sentences=8):
+    """1..max_sentences sentences of T = 1..max_t tokens over one label set
+    of 2-4 labels, as (per-sentence scores, per-sentence gold,
+    transitions)."""
     L = int(rng.integers(2, 5))
-    lengths = rng.integers(1, 7, int(rng.integers(1, 9)))
+    lengths = rng.integers(1, max_t + 1, int(rng.integers(1, max_sentences + 1)))
     scores = [rng.normal(0, 1.5, (T, L)) for T in lengths]
     gold = [rng.integers(0, L, T) for T in lengths]
     return scores, gold, rng.normal(0, 1.5, (L, L))

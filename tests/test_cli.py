@@ -191,6 +191,14 @@ class TestConvert:
         assert run(["convert", brat_pair, tmp_path / "o.conll",
                     "--skip-unpaired"]) == 0
 
+    def test_undecodable_text_names_the_file(self, brat_pair, tmp_path,
+                                             capsys):
+        (brat_pair / "d1.txt").write_bytes(b"X has \xffanemia.")
+        assert run(["convert", brat_pair, tmp_path / "o.conll"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {brat_pair / 'd1.txt'}: ")
+        assert "0xff" in err
+
     def test_lenient_flag(self, tmp_path):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -273,6 +281,63 @@ class TestTrain:
         )
         assert run(["train", config]) == 1
         assert not model.exists()
+
+    def test_undecodable_inputs_name_the_file(self, trained_crf, tmp_path,
+                                              capsys):
+        _, train_conll, heldout_conll = trained_crf
+        bad_conll = tmp_path / "bad.conll"
+        bad_conll.write_bytes(b"x\tx\tX\tO\n\xff\tx\tX\tO\n")
+        bad_vectors = tmp_path / "bad.vec"
+        bad_vectors.write_bytes(b"x 0.1 \xff\n")
+        bad_config = tmp_path / "bad.cfg"
+        bad_config.write_bytes(b"model_kind = crf\n# \xff\n")
+        crf_config = tmp_path / "crf.cfg"
+        crf_config.write_text(f"model_kind = crf\ntrain = {bad_conll}\n"
+                              f"model_out = {tmp_path}/never.model\n")
+        neural_config = tmp_path / "bl.cfg"
+        neural_config.write_text(
+            f"model_kind = bilstm\ntrain = {train_conll}\n"
+            f"validation = {heldout_conll}\nembedding = {bad_vectors}\n"
+            f"model_out = {tmp_path}/never.model\n")
+        for config, named in [(crf_config, bad_conll),
+                              (neural_config, bad_vectors),
+                              (bad_config, bad_config)]:
+            assert run(["train", config]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {named}: "), err
+            assert "0xff" in err
+        assert not (tmp_path / "never.model").exists()
+
+    def test_malformed_conll_names_file_and_line(self, tmp_path, capsys):
+        bad_conll = tmp_path / "bad.conll"
+        bad_conll.write_text("x\tx\tX\tO\nbad\tline\n")
+        config = tmp_path / "crf.cfg"
+        config.write_text(f"model_kind = crf\ntrain = {bad_conll}\n"
+                          f"model_out = {tmp_path}/never.model\n")
+        assert run(["train", config]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad_conll} line 2: expected 3 or 4 tab-separated "
+            "columns, got 2\n")
+
+    def test_embedding_dim_must_match_the_vector_file(self, trained_crf,
+                                                     tmp_path, capsys):
+        _, train_conll, heldout_conll = trained_crf
+        vectors = tmp_path / "v.vec"
+        vectors.write_text("".join(f"{w} " + " ".join(["0.1"] * 8) + "\n"
+                                   for w in ("the", "of", "rash")))
+        model = tmp_path / "v.model"
+        config = tmp_path / "v.cfg"
+        base = (f"model_kind = bilstm-crf\ntrain = {train_conll}\n"
+                f"validation = {heldout_conll}\nembedding = {vectors}\n"
+                f"hidden_dim = 4\nmax_epochs = 1\nmodel_out = {model}\n")
+        config.write_text(base + "embedding_dim = 30\n")
+        assert run(["train", config]) == 1
+        err = capsys.readouterr().err
+        assert "embedding_dim = 30" in err and "8-wide" in err
+        assert not model.exists()
+        config.write_text(base + "embedding_dim = 8\n")
+        assert run(["train", config]) == 0
+        assert model.exists()
 
     def test_missing_train_file_fails(self, tmp_path):
         config = tmp_path / "bad.cfg"
@@ -452,6 +517,17 @@ class TestEvaluate:
         assert run(["evaluate", tmp_path / "missing.model", train_conll,
                     "--min", "micro_f1"]) == 1
         assert "metric=value" in capsys.readouterr().err
+
+    def test_non_finite_min_bound_rejected(self, tmp_path, capsys):
+        conll_path = tmp_path / "gold.conll"
+        conll_path.write_text("x\tx\tX\tO\n")
+        for flag in ("micro_f1=nan", "micro_f1=inf", "micro_f1=-inf"):
+            # named before the (missing) model is read
+            assert run(["evaluate", tmp_path / "missing.model", conll_path,
+                        "--min", flag]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: --min {flag!r}: the bound must be finite\n"
 
 
 class TestPredict:
