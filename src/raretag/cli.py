@@ -462,11 +462,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so it is caught first
         return EXIT_OK  # downstream pager/head closed the stream
     # every named parse error (Brat, CoNLL, metrics, embeddings, model
-    # files) subclasses ValueError
-    except (CliError, FloatingPointError, FileNotFoundError, ValueError) as err:
+    # files) subclasses ValueError; OSError covers missing, unreadable and
+    # directory paths
+    except (CliError, FloatingPointError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -84,8 +84,11 @@ class CrfModel:
                              f"does not match ({F}, {L})")
         if self.transition_weights.shape != (L, L):
             raise ValueError("transition_weights shape mismatch")
-        if self.window < 0:
-            raise ValueError(f"window must be >= 0, got {self.window}")
+        if not isinstance(self.window, int) or self.window < 0:
+            raise ValueError(f"window must be an int >= 0, got {self.window!r}")
+        if not all(isinstance(s, str) for s in [*self.label_set,
+                                                *self.feature_index]):
+            raise ValueError("labels and features must be strings")
         if not (np.isfinite(self.state_weights).all()
                 and np.isfinite(self.transition_weights).all()):
             raise ValueError("model weights must be finite")
@@ -128,15 +131,6 @@ def log_partition(model: CrfModel, token_features: list[list[str]]) -> float:
         raise ValueError("cannot compute log partition of an empty sentence")
     scores = model.state_scores(model.index_tokens(token_features))
     return chain.log_partition(scores, model.transition_weights)
-
-
-def marginals(
-    model: CrfModel, token_features: list[list[str]]
-) -> tuple[float, np.ndarray, np.ndarray]:
-    if not token_features:
-        raise ValueError("cannot compute marginals of an empty sentence")
-    scores = model.state_scores(model.index_tokens(token_features))
-    return chain.forward_backward(scores, model.transition_weights)
 
 
 def _flatten(state: np.ndarray, trans: np.ndarray) -> np.ndarray:

@@ -50,6 +50,10 @@ class EmbeddingTable:
     def __post_init__(self):
         if self.oov_policy not in OOV_POLICIES:
             raise ValueError(f"unknown oov_policy {self.oov_policy!r}")
+        if not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        if not all(isinstance(word, str) for word in self.vocab):
+            raise ValueError("vocabulary words must be strings")
         if self.matrix.shape != (len(self.vocab), self.dim):
             raise ValueError(
                 f"matrix shape {self.matrix.shape} does not match "
@@ -85,9 +89,6 @@ class EmbeddingTable:
     def oov_rate(self) -> float:
         return self._misses / self._lookups if self._lookups else 0.0
 
-    def reset_oov_counters(self) -> None:
-        self._lookups = self._misses = 0
-
 
 def load_text_format(
     path: str | Path,
@@ -96,8 +97,9 @@ def load_text_format(
 ) -> EmbeddingTable:
     """Load a GloVe-style or word2vec-text embedding file.
 
-    A first line of exactly two integer tokens is treated as the
-    ``count dim`` header. Duplicate words keep their first vector; the
+    A first line of exactly two integer tokens is the ``count dim``
+    header, and the vector lines after it must then number ``count`` and
+    hold ``dim`` values each, written as ``str`` writes them. Duplicate words keep their first vector; the
     number of duplicates is recorded on the table.
     """
     vocab: dict[str, int] = {}
@@ -112,6 +114,7 @@ def load_text_format(
             head = line.split()
             header = len(head) == 2 and all(f.lstrip("-").isdigit() for f in head)
             if header:
+                header = head
                 continue
         fields = line.rstrip().split(" ")
         word, values = fields[0], fields[1:]
@@ -137,6 +140,11 @@ def load_text_format(
         raise EmbeddingParseError(
             f"{path}: header but no vectors" if header
             else f"{path}: empty embedding file"
+        )
+    if header and header != [str(len(vocab) + duplicates), str(dim)]:
+        raise EmbeddingParseError(
+            f"{path}: the header announces {header[0]} vectors of {header[1]} "
+            f"values, but the file holds {len(vocab) + duplicates} of {dim}"
         )
     return EmbeddingTable(
         dim, vocab, np.vstack(vectors), oov_policy, seed, duplicates

@@ -6,6 +6,9 @@ one entry per weight array with its section name and shape), then the raw
 array payloads as little-endian float64 in header order. Files are
 written with ``atomic.atomic_write_bytes``, so a failed save never leaves
 a partial model behind and concurrent writers never share a temp file.
+The writer is the one grammar: a file loads only if saving the model built
+from it writes it back byte for byte, and the model constructors check the
+values.
 """
 
 from __future__ import annotations
@@ -35,14 +38,14 @@ class ModelFormatError(ValueError):
     pass
 
 
-def _pack(kind: str, meta: dict, arrays: list[tuple[str, np.ndarray]]) -> bytes:
+def _pack(kind: str, meta: dict, arrays: list, version: int = VERSION) -> bytes:
     header = {
         "kind": kind,
         "meta": meta,
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    parts = [MAGIC, struct.pack("<I", VERSION),
+    parts = [MAGIC, struct.pack("<I", version),
              struct.pack("<Q", len(header_bytes)), header_bytes]
     for _, a in arrays:
         parts.append(np.ascontiguousarray(a, dtype="<f8").tobytes())
@@ -63,6 +66,8 @@ def _unpack(data: bytes) -> tuple[str, dict, dict[str, np.ndarray]]:
     try:
         header = json.loads(data[offset : offset + header_len].decode("utf-8"))
         kind, meta = header["kind"], header["meta"]
+        if not isinstance(meta, dict):  # dump_text reads it by key
+            raise TypeError("meta is not an object")
         shapes = [(e["name"], [int(d) for d in e["shape"]]) for e in header["arrays"]]
     except (ValueError, KeyError, TypeError) as err:
         raise ModelFormatError(f"corrupt model header: {err}") from None
@@ -77,7 +82,7 @@ def _unpack(data: bytes) -> tuple[str, dict, dict[str, np.ndarray]]:
         offset += 8 * count
     if offset != len(data):
         raise ModelFormatError("trailing bytes after weight payload")
-    return header["kind"], header["meta"], arrays
+    return kind, meta, arrays
 
 
 def _crf_payload(model: CrfModel) -> tuple[str, dict, list]:
@@ -145,30 +150,6 @@ def _load_cell(prefix: str, arrays: dict, input_dim: int,
     return LstmCell(input_dim, hidden_dim, W, U, b)
 
 
-_HEADER_FIELDS = {
-    KIND_CRF: {"label_set": list, "features": list, "window": int},
-    KIND_BILSTM: {
-        "label_set": list, "head_kind": str, "hidden_dim": int,
-        "embedding_dim": int, "embedding_vocab": list,
-        "embedding_trainable": bool, "oov_policy": str, "oov_seed": int,
-    },
-}
-_HEADER_FIELDS[KIND_BILSTM_CRF] = _HEADER_FIELDS[KIND_BILSTM]
-
-
-def _check_fields(kind: str, meta) -> None:
-    if kind not in _HEADER_FIELDS:
-        raise ModelFormatError(f"unknown model kind {kind!r}")
-    if not isinstance(meta, dict):
-        raise ModelFormatError("corrupt model header: meta is not an object")
-    for key, kind_of in _HEADER_FIELDS[kind].items():
-        value = meta.get(key)
-        if not isinstance(value, kind_of) or (
-                kind_of is list and not all(isinstance(v, str) for v in value)):
-            raise ModelFormatError(f"corrupt model header: {key!r} is missing "
-                                   f"or not a {kind_of.__name__}")
-
-
 def _build(kind: str, meta: dict, arrays: dict) -> CrfModel | BiLstmTagger:
     if kind == KIND_CRF:
         return CrfModel(
@@ -200,28 +181,22 @@ def _build(kind: str, meta: dict, arrays: dict) -> CrfModel | BiLstmTagger:
 
 
 def load_model(path: str | Path) -> CrfModel | BiLstmTagger:
-    """Read a model file; any inconsistency in it raises ModelFormatError."""
-    kind, meta, arrays = _unpack(Path(path).read_bytes())
-    _check_fields(kind, meta)
+    """Read a model file that saving its model, at the file's format version,
+    writes back byte for byte; any other file raises ModelFormatError."""
+    data = Path(path).read_bytes()
+    kind, meta, arrays = _unpack(data)
+    version, = struct.unpack_from("<I", data, len(MAGIC))
     try:
         model = _build(kind, meta, arrays)
-    except KeyError as err:
-        raise ModelFormatError(f"corrupt model header: no array {err}") from None
+        saved = _pack(*_payload(model), version)
+    except (KeyError, TypeError, AttributeError) as err:
+        raise ModelFormatError(f"corrupt model header: {err!r}") from None
     except ValueError as err:  # shapes, duplicate names, non-finite weights
         raise ModelFormatError(f"invalid {kind} model: {err}") from None
-    # The kind and the arrays' names and shapes must be those that saving
-    # the model would write.
-    saved_kind, _, saved = _payload(model)
-    if saved_kind != kind or [(name, a.shape) for name, a in saved] != [
-            (name, a.shape) for name, a in arrays.items()]:
-        raise ModelFormatError(f"corrupt model header: the arrays do not "
-                               f"match a {kind} model")
+    if saved != data:
+        raise ModelFormatError(f"corrupt model header: saving the {kind} model "
+                               f"writes other fields or arrays")
     return model
-
-
-def model_kind(path: str | Path) -> str:
-    kind, _, _ = _unpack(Path(path).read_bytes())
-    return kind
 
 
 def dump_text(path: str | Path) -> str:

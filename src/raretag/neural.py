@@ -70,6 +70,10 @@ class BiLstmTagger:
     def __post_init__(self):
         if self.head_kind not in (HEAD_SOFTMAX, HEAD_CRF):
             raise ValueError(f"unknown head kind {self.head_kind!r}")
+        if not all(isinstance(label, str) for label in self.label_set):
+            raise ValueError("labels must be strings")
+        if not isinstance(self.embedding_trainable, bool):
+            raise ValueError("embedding_trainable must be a bool")
         L = len(self.label_set)
         two_h = 2 * self.forward_cell.hidden_dim
         if self.head_W.shape != (L, two_h) or self.head_b.shape != (L,):

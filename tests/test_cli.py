@@ -692,3 +692,66 @@ class TestDump:
         model, _, _ = trained_crf
         assert run(["dump", model]) == 0
         assert capsys.readouterr().out.startswith("kind: crf")
+
+
+class TestOsErrors:
+    """A path that cannot be read or written is a named error, exit 1."""
+
+    @pytest.mark.parametrize("command", [
+        "convert {brat} {dir}",
+        "train {dir}",
+        "train {config_to_dir}",
+        "predict {dir} {conll} {out}",
+        "predict {model} {dir} {out}",
+        "evaluate {dir} {conll}",
+        "evaluate {model} {dir}",
+        "dump {dir}",
+        "gen-synthetic {file}",
+    ])
+    def test_directory_or_file_in_the_wrong_place(self, command, brat_pair,
+                                                  trained_crf, tmp_path,
+                                                  capsys):
+        model, conll_path, _ = trained_crf
+        directory = tmp_path / "a-directory"
+        directory.mkdir()
+        regular = tmp_path / "a-file"
+        regular.write_text("")
+        config = tmp_path / "dir.cfg"
+        config.write_text(f"model_kind = crf\ntrain = {directory}\n"
+                          f"model_out = {tmp_path / 'm.bin'}\n")
+        argv = command.format(brat=brat_pair, dir=directory, file=regular,
+                              config_to_dir=config, model=model,
+                              conll=conll_path, out=tmp_path / "o.conll")
+        assert run(argv.split()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict", "dump",
+                                         "train"])
+    def test_permission_denied(self, command, trained_crf, tmp_path, capsys,
+                               monkeypatch):
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        model, conll_path, _ = trained_crf
+        config = tmp_path / "crf.cfg"
+        config.write_text(f"model_kind = crf\ntrain = {conll_path}\n"
+                          f"model_out = {tmp_path / 'm.bin'}\n")
+        argv = {"evaluate": ["evaluate", model, conll_path],
+                "predict": ["predict", model, conll_path, tmp_path / "o"],
+                "dump": ["dump", model],
+                "train": ["train", config]}[command]
+        # every reader goes through one of these; the tests run as root,
+        # which file modes do not stop
+        monkeypatch.setattr(Path, "read_bytes", denied)
+        monkeypatch.setattr(Path, "read_text", denied)
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 13] Permission denied: ")
+
+    def test_broken_pipe_is_a_clean_exit(self, monkeypatch):
+        def closed(args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli, "cmd_dump", closed)
+        assert run(["dump", "any.model"]) == 0

@@ -71,10 +71,24 @@ class TestLogPartition:
         rng = np.random.default_rng(22)
         model = random_model(rng)
         feats = random_features(rng, model, 5)
-        log_z, unary, pairwise = crf.marginals(model, feats)
+        scores = model.state_scores(model.index_tokens(feats))
+        log_z, unary, pairwise = chain.forward_backward(
+            scores, model.transition_weights)
         assert np.max(np.abs(unary.sum(axis=1) - 1.0)) < 1e-10
         assert log_z == pytest.approx(crf.log_partition(model, feats))
         assert pairwise.shape == (4, 4, 4)
+
+
+class TestModelFields:
+    @pytest.mark.parametrize("window", [2.5, 8.0, -1, "2", None])
+    def test_window_must_be_a_non_negative_int(self, window):
+        with pytest.raises(ValueError, match="window"):
+            make_zero_model(["O"], {"f": 0}, window)
+
+    @pytest.mark.parametrize("labels,index", [([1], {"f": 0}), (["O"], {1: 0})])
+    def test_labels_and_features_must_be_strings(self, labels, index):
+        with pytest.raises(ValueError, match="strings"):
+            make_zero_model(labels, index)
 
 
 class TestGatherSum:

@@ -32,6 +32,26 @@ class TestLoad:
         assert headed.vocab == plain.vocab
         assert np.array_equal(headed.matrix, plain.matrix)
 
+    @pytest.mark.parametrize("content,announced,held", [
+        ("7 1\n8 2\n", "7 vectors of 1 values", "holds 1 of 1"),
+        ("2 3\ncat 1 2 3 4\ndog 1 2 3 4\n", "2 vectors of 3 values",
+         "holds 2 of 4"),
+        ("1 2\ncat 0.1 0.2\ndog 0.3 0.4\n", "1 vectors of 2 values",
+         "holds 2 of 2"),
+        ("02 \u00b2\ncat 0.1 0.2\ndog 0.3 0.4\n", "02 vectors of \u00b2 values",
+         "holds 2 of 2"),
+    ])
+    def test_header_must_agree_with_the_vectors(self, tmp_path, content,
+                                                announced, held):
+        with pytest.raises(EmbeddingParseError) as err:
+            load_text_format(write(tmp_path, content))
+        assert announced in str(err.value) and held in str(err.value)
+
+    def test_header_counts_duplicate_lines(self, tmp_path):
+        table = load_text_format(
+            write(tmp_path, "3 1\ncat 0.1\ncat 0.2\ndog 0.3\n"))
+        assert (len(table.vocab), table.duplicate_count) == (2, 1)
+
     def test_inconsistent_dim_names_line(self, tmp_path):
         with pytest.raises(EmbeddingParseError, match="line 2"):
             load_text_format(write(tmp_path, "cat 0.1 0.2\ndog 0.3 0.4 0.5\n"))
@@ -98,12 +118,20 @@ class TestLookup:
         table.lookup("bird")
         table.lookup("fish")
         assert table.oov_rate() == pytest.approx(2 / 3)
-        table.reset_oov_counters()
-        assert table.oov_rate() == 0.0
+        assert self.table("zeros").oov_rate() == 0.0
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             self.table("nonsense")
+
+    @pytest.mark.parametrize("seed", [1.5, "3", None])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            EmbeddingTable(1, {"cat": 0}, np.zeros((1, 1)), seed=seed)
+
+    def test_words_must_be_strings(self):
+        with pytest.raises(ValueError, match="strings"):
+            EmbeddingTable(1, {1: 0}, np.zeros((1, 1)))
 
 
 class TestRandomTable:

@@ -17,7 +17,6 @@ from raretag.model_io import (
     atomic_write_bytes,
     dump_text,
     load_model,
-    model_kind,
     save_model,
 )
 from raretag.tokenizer import Sentence
@@ -69,7 +68,7 @@ class TestCrfContainer:
         model, _ = trained_crf()
         path = tmp_path / "model.bin"
         save_model(model, path)
-        assert model_kind(path) == "crf"
+        assert dump_text(path).startswith("kind: crf\n")
 
 
 class TestTaggerContainer:
@@ -81,7 +80,7 @@ class TestTaggerContainer:
         tagger, corpus = built_tagger(head_kind)
         path = tmp_path / "tagger.bin"
         save_model(tagger, path)
-        assert model_kind(path) == expect_kind
+        assert dump_text(path).startswith(f"kind: {expect_kind}\n")
         loaded = load_model(path)
         assert loaded.label_set == tagger.label_set
         assert loaded.head_kind == tagger.head_kind
@@ -233,6 +232,88 @@ class TestFormat:
         path2 = tmp_path / "model2.bin"
         save_model(model, path2)
         assert dump_text(path2) == text
+
+
+# Each header field of a saved model is replaced by each of these in turn.
+HEADER_VALUES = [0, 2, 2.5, 8.0, -1, "x", "2", True, False, None, [], ["a"],
+                 [1, 2], {"a": 1}]
+
+
+class TestRoundTripIsTheFormat:
+    """A file loads exactly when saving the model it describes writes it
+    back byte for byte."""
+
+    @pytest.mark.parametrize("kind,expect_loaded", [
+        ("crf", ["window=0", "window=2", "window=true", "window=false"]),
+        ("bilstm-crf", ["embedding_trainable=true", "embedding_trainable=false",
+                        "oov_seed=0", "oov_seed=2", "oov_seed=-1",
+                        "oov_seed=true", "oov_seed=false"]),
+    ])
+    def test_header_field_substitutions(self, tmp_path, kind, expect_loaded):
+        if kind == "crf":
+            model, corpus = trained_crf()
+        else:
+            model, corpus = built_tagger(neural.HEAD_CRF)
+        _, meta, arrays = model_io._payload(model)
+        sentences = [Sentence(ts.tokens) for ts in corpus]
+        path, again = tmp_path / "model.bin", tmp_path / "again.bin"
+        loaded = []
+        for key, saved in meta.items():
+            for value in HEADER_VALUES:
+                path.write_bytes(model_io._pack(kind, {**meta, key: value}, arrays))
+                try:
+                    rebuilt = load_model(path)
+                except ModelFormatError:
+                    continue
+                loaded.append(f"{key}={json.dumps(value)}")
+                # only the saved JSON type loads; Python's bools are ints
+                assert isinstance(value, type(saved)), loaded[-1]
+                rebuilt.tag(sentences)
+                rebuilt.tag(sentences, constrained=True)
+                save_model(rebuilt, again)
+                assert again.read_bytes() == path.read_bytes(), loaded[-1]
+        assert loaded == expect_loaded
+
+    @pytest.mark.parametrize("head_kind", [None, neural.HEAD_SOFTMAX,
+                                           neural.HEAD_CRF])
+    def test_saved_models_resave_byte_identical(self, tmp_path, head_kind):
+        model = trained_crf()[0] if head_kind is None else \
+            built_tagger(head_kind)[0]
+        path, again = tmp_path / "model.bin", tmp_path / "again.bin"
+        save_model(model, path)
+        save_model(load_model(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda header: json.dumps(header, sort_keys=True, indent=1),
+        lambda header: json.dumps(dict(reversed(header.items()))),
+        lambda header: json.dumps({**header, "meta": {**header["meta"],
+                                                      "note": "x"}},
+                                  sort_keys=True),
+        lambda header: json.dumps({**header, "kind": "bilstm"}, sort_keys=True),
+        lambda header: json.dumps({**header, "kind": "lstm"}, sort_keys=True),
+    ], ids=["indented", "unsorted-keys", "extra-field", "other-kind",
+            "unknown-kind"])
+    def test_same_fields_written_otherwise_are_rejected(self, tmp_path,
+                                                        rewrite):
+        data = V1_MODEL.read_bytes()
+        offset = len(MAGIC) + 12
+        length = int.from_bytes(data[len(MAGIC) + 4 : offset], "little")
+        header = json.loads(data[offset : offset + length])
+        text = rewrite(header).encode("utf-8")
+        path = tmp_path / "model.bin"
+        path.write_bytes(data[: len(MAGIC) + 4] + len(text).to_bytes(8, "little")
+                         + text + data[offset + length :])
+        with pytest.raises(ModelFormatError, match="header"):
+            load_model(path)
+
+    def test_meta_that_is_no_object_is_a_format_error(self, tmp_path, capsys):
+        path = tmp_path / "model.bin"
+        path.write_bytes(model_io._pack("crf", ["window"], []))
+        with pytest.raises(ModelFormatError, match="meta"):
+            dump_text(path)
+        assert cli.main(["dump", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: corrupt model header")
 
 
 class TestStoredTagger:

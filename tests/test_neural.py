@@ -88,8 +88,8 @@ class TestForward:
         table = tagger.embedding
         word = next(w for w in table.vocab if w.islower())
         words = [word, word.upper(), "neverseen", "neverseen"]
-        expected = np.array([table.lookup(w) for w in words])
-        table.reset_oov_counters()
+        twin = small_tagger(HEAD_CRF)[0].embedding  # keeps table's counts at 0
+        expected = np.array([twin.lookup(w) for w in words])
         X, rows = neural._embed(tagger, make_tagged(words, ["O"] * 4).tokens)
         assert np.array_equal(X, expected)
         assert rows.tolist() == [table.vocab[word]] * 2 + [-1, -1]
@@ -179,6 +179,19 @@ class TestPackedPasses:
         fields[name] = fields[name].copy()
         fields[name].flat[0] = np.inf
         with pytest.raises(ValueError, match="finite"):
+            BiLstmTagger(**fields)
+
+    @pytest.mark.parametrize("name,value,match", [
+        ("label_set", [0, 1, 2, 3, 4, 5, 6, 7, 8], "strings"),
+        ("embedding_trainable", 1, "bool"),
+        ("embedding_trainable", None, "bool"),
+    ])
+    def test_mistyped_fields_rejected(self, name, value, match):
+        tagger, _ = small_tagger(HEAD_CRF)
+        fields = dict(vars(tagger))
+        del fields["label_index"]
+        fields[name] = value
+        with pytest.raises(ValueError, match=match):
             BiLstmTagger(**fields)
 
 
