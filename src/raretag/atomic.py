@@ -28,7 +28,10 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
             f.flush()
             os.fsync(f.fileno())
         os.chmod(tmp, 0o666 & ~_UMASK)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as err:  # it names the temp file; the user gave path
+            raise type(err)(err.errno, err.strerror, str(path)) from None
     except BaseException:
         os.unlink(tmp)
         raise

@@ -5,6 +5,10 @@ The model scores a tag sequence as the sum of state weights for every
 Training minimizes the L2/L1-regularized negative log-likelihood; the
 expected feature counts come from forward-backward marginals. Unseen
 test-time features are dropped, never grown into the model.
+
+Training and tagging index features as int64 keys (``features.window_keys``)
+and never format a feature string; the functions that take each token's
+feature names are the reference that the tests check the keys against.
 """
 
 from __future__ import annotations
@@ -16,7 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chain, iob, lbfgs
-from .features import DEFAULT_WINDOW, sentence_features
+from .features import (  # noqa: F401 (sentence_features is traced here)
+    DEFAULT_WINDOW, key_names, sentence_features, template_keys, token_values,
+    value_ids, window_keys,
+)
 from .iob import TaggedSentence
 from .tokenizer import Sentence
 
@@ -76,6 +83,11 @@ class CrfModel:
     transition_weights: np.ndarray  # [num_labels, num_labels]
     window: int = DEFAULT_WINDOW
     label_index: dict[str, int] = field(init=False)
+    # attribute value ids, and the template features' sorted keys and rows,
+    # from _key_table
+    _values: dict[str, int] = field(init=False, repr=False, compare=False)
+    _keys: np.ndarray = field(init=False, repr=False, compare=False)
+    _key_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         F, L = len(self.feature_index), len(self.label_set)
@@ -89,20 +101,45 @@ class CrfModel:
         if not all(isinstance(s, str) for s in [*self.label_set,
                                                 *self.feature_index]):
             raise ValueError("labels and features must be strings")
+        if sorted(self.feature_index.values()) != list(range(F)):
+            raise ValueError(f"feature_index rows must be 0 ... {F - 1}, "
+                             f"each once")
         if not (np.isfinite(self.state_weights).all()
                 and np.isfinite(self.transition_weights).all()):
             raise ValueError("model weights must be finite")
         self.label_index = {lab: i for i, lab in enumerate(self.label_set)}
+        self._key_table()
 
-    def index_tokens(self, token_features: list[list[str]]) -> list[np.ndarray]:
-        """Map feature strings to indices, dropping unseen features."""
-        return [
-            np.array(
-                [self.feature_index[f] for f in feats if f in self.feature_index],
-                dtype=np.intp,
-            )
-            for feats in token_features
-        ]
+    def _key_table(self) -> None:
+        """Key every feature name that the window's templates emit; names
+        of any other shape are matched by name only."""
+        self._values, keys, positions = template_keys(self.feature_index,
+                                                      self.window)
+        rows = np.fromiter(self.feature_index.values(), np.intp,
+                           len(self.feature_index))[positions]
+        order = np.argsort(keys)
+        # a sentinel above every key keeps each search inside the array
+        self._keys = np.append(keys[order], np.iinfo(np.int64).max)
+        self._key_rows = rows[order]
+
+    def feature_keys(self, sentences: list[Sentence]) -> np.ndarray:
+        """The ``features.window_keys`` of the sentences over the model's
+        values; a feature the model does not hold gets a key it lacks."""
+        return window_keys(sentences, self._values, self.window)
+
+    def index_tokens(self, token_features: np.ndarray | list[list[str]]
+                     ) -> list[np.ndarray]:
+        """Each token's feature rows, dropping unseen features, from the
+        [T, K] ``feature_keys`` of the tokens or from their feature names."""
+        if not isinstance(token_features, np.ndarray):
+            return [np.array([self.feature_index[f] for f in feats
+                              if f in self.feature_index], dtype=np.intp)
+                    for feats in token_features]
+        found = self._keys.searchsorted(token_features)
+        hit = self._keys[found] == token_features
+        rows = self._key_rows[found[hit]]
+        ends = np.cumsum(hit.sum(axis=1)).tolist()
+        return [rows[start:end] for start, end in zip([0, *ends], ends)]
 
     def state_scores(self, indexed: list[np.ndarray]) -> np.ndarray:
         rows, features = _flat_pairs(indexed, np.arange(len(indexed)))
@@ -111,10 +148,14 @@ class CrfModel:
     def tag(self, sentences: list[Sentence],
             constrained: bool = False) -> list[list[str]]:
         """Tags of each sentence, decoded in packed passes of at most
-        ``chain.PASS_SENTENCES`` sentences."""
-        return [tags for part in chain.passes(sentences)
-                for tags in viterbi(self, [sentence_features(s, self.window)
-                                           for s in part], constrained)]
+        ``chain.PASS_SENTENCES`` sentences, each keyed at once."""
+        tags = []
+        for part in chain.passes(sentences):
+            keys = self.feature_keys(part)
+            ends = np.cumsum([len(s.tokens) for s in part]).tolist()
+            tags += viterbi(self, [keys[end - len(s.tokens) : end]
+                                   for s, end in zip(part, ends)], constrained)
+        return tags
 
 
 def make_zero_model(
@@ -219,21 +260,22 @@ def build_feature_index(
     sentences: list[TaggedSentence], window: int = DEFAULT_WINDOW
 ) -> tuple[dict[str, int], list[list[np.ndarray]]]:
     """The training features in first-seen order, and every sentence's
-    tokens indexed by them, from one feature extraction per sentence: each
-    sentence is indexed as soon as its features join the shared index, so
-    the whole corpus's feature strings are never held at once."""
-    index: dict[str, int] = {}
-    # index_tokens is the one indexer of training and tagging; this model
-    # shares the growing index, and its weights are never read
-    indexer = CrfModel([], index, np.zeros((0, 0)), np.zeros((0, 0)), window)
-    indexed = []
-    for ts in sentences:
-        token_features = sentence_features(Sentence(ts.tokens), window)
-        for feats in token_features:
-            for f in feats:
-                index.setdefault(f, len(index))
-        indexed.append(indexer.index_tokens(token_features))
-    return index, indexed
+    tokens indexed by them. The corpus's features are compared as keys over
+    its own attribute values, and only each distinct one is named."""
+    plain = [Sentence(ts.tokens) for ts in sentences]
+    values = value_ids(token_values(plain))
+    distinct, first = np.unique(window_keys(plain, values, window),
+                                return_index=True)
+    names = key_names(distinct[np.argsort(first)], list(values), window)
+    index = {name: row for row, name in enumerate(names)}
+    # index_tokens is the one indexer of training and tagging; this model's
+    # weights are never read
+    indexer = CrfModel([], index, np.zeros((len(index), 0)), np.zeros((0, 0)),
+                       window)
+    tokens = indexer.index_tokens(indexer.feature_keys(plain))
+    lengths = [len(s.tokens) for s in plain]
+    ends = np.cumsum(lengths, dtype=np.intp).tolist()
+    return index, [tokens[end - n : end] for n, end in zip(lengths, ends)]
 
 
 def train(
@@ -292,13 +334,18 @@ def decode(scores: np.ndarray, transitions: np.ndarray, label_set: list[str],
 
 
 def viterbi(
-    model: CrfModel, sentences: list[list[list[str]]], constrained: bool = False
+    model: CrfModel, sentences: list[np.ndarray] | list[list[list[str]]],
+    constrained: bool = False
 ) -> list[list[str]]:
-    """Highest-scoring tag sequence of each sentence, given as its tokens'
-    feature strings; the sentences are scored and decoded as one pass."""
-    if not all(sentences):
+    """Highest-scoring tag sequence of each sentence, given as the [n, K]
+    ``feature_keys`` of its tokens or as their feature names; the sentences
+    are scored and decoded as one pass."""
+    if not all(len(sentence) for sentence in sentences):
         raise ValueError("cannot decode an empty sentence")
-    token_features = [feats for sentence in sentences for feats in sentence]
+    if sentences and isinstance(sentences[0], np.ndarray):
+        token_features = np.concatenate(sentences)
+    else:
+        token_features = [feats for sentence in sentences for feats in sentence]
     scores = model.state_scores(model.index_tokens(token_features))
     return decode(scores, model.transition_weights, model.label_set,
                   [len(sentence) for sentence in sentences], constrained)

@@ -4,9 +4,21 @@ For each offset in a +/-`window` range around the target position, four
 attributes are emitted (surface, lowercased surface, lemma, PoS), plus one
 constant bias feature. Out-of-range offsets use the BOS/EOS sentinels so
 the feature count per token is always 4 * (2 * window + 1) + 1.
+
+``extract_features`` states the templates as strings such as
+``w[-1]=the``. The CRF featurizes, indexes and scores a pass of sentences
+at once without building those strings: it interns each token's four
+attribute values into integer ids (``BOS`` and ``EOS`` are ids 0 and 1,
+whether sentinel or token) and ``window_keys`` turns them into one int64
+key per feature, ``slot * V + value`` with ``slot = (d + window) * 4 +
+kind`` and ``V`` above every value id; ``bias`` is slot ``4 * (2 *
+window + 1)``. ``template_keys`` and ``key_names`` convert feature names
+to keys and back, so a model file keeps its names.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .tokenizer import Sentence
 
@@ -14,6 +26,14 @@ BOS = "BOS"
 EOS = "EOS"
 
 DEFAULT_WINDOW = 2
+
+# name prefixes of the four attributes, in template order
+ATTRIBUTES = ("w", "wl", "lemma", "pos")
+BIAS = "bias"
+
+
+def features_per_token(window: int) -> int:
+    return 4 * (2 * window + 1) + 1
 
 
 def _fmt_offset(d: int) -> str:
@@ -43,7 +63,7 @@ def extract_features(
             features.append(f"wl[{o}]={sentinel}")
             features.append(f"lemma[{o}]={sentinel}")
             features.append(f"pos[{o}]={sentinel}")
-    features.append("bias")
+    features.append(BIAS)
     return features
 
 
@@ -53,3 +73,88 @@ def sentence_features(
     return [
         extract_features(sentence, i, window) for i in range(len(sentence.tokens))
     ]
+
+
+def token_values(sentences: list[Sentence]) -> list[str]:
+    """Every token's surface, lowercase, lemma and PoS, token by token."""
+    return [value for sentence in sentences for tok in sentence.tokens
+            for value in (tok.surface, tok.surface.lower(), tok.lemma, tok.pos)]
+
+
+def value_ids(values) -> dict[str, int]:
+    """Ids of the distinct values, first seen first, after BOS and EOS."""
+    distinct = dict.fromkeys([BOS, EOS, *values])
+    return {value: i for i, value in enumerate(distinct)}
+
+
+def window_keys(sentences: list[Sentence], values: dict[str, int],
+                window: int) -> np.ndarray:
+    """[T, features_per_token(window)] int64 keys of the sentences' tokens'
+    features, in ``extract_features`` order, over the value ids ``values``;
+    a value not in it gets id ``len(values)``, which no name's key holds."""
+    unseen, lengths = len(values), [len(s.tokens) for s in sentences]
+    ids = np.array([values.get(value, unseen)
+                    for value in token_values(sentences)],
+                   dtype=np.int64).reshape(-1, 4)
+    T, K = len(ids), features_per_token(window)
+    # every sentence's rows, each between `window` BOS and `window` EOS rows
+    shift = 2 * window * np.arange(len(lengths))
+    row = np.arange(T) + np.repeat(shift + window, lengths)
+    eos = np.cumsum(lengths, dtype=np.intp) + shift + window
+    padded = np.zeros((T + 2 * window * len(lengths), 4), np.int64)  # BOS
+    padded[(eos[:, None] + np.arange(window)).ravel()] = 1  # EOS
+    padded[row] = ids
+    keys = np.zeros((T, K), np.int64)
+    keys[:, :-1] = padded[row[:, None] + np.arange(-window, window + 1)
+                          ].reshape(T, K - 1)
+    keys += np.arange(K, dtype=np.int64) * (unseen + 1)
+    return keys
+
+
+def template_keys(names, window: int
+                  ) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """The value ids of the names that ``extract_features`` with this window
+    emits, and those names' ``window_keys`` over them with their positions
+    in ``names``; a name of any other shape has no key."""
+    slots, held, positions = [], [], []
+    for position, name in enumerate(names):
+        # an attribute and an offset hold no "]=", so a template's first
+        # "]=" ends its head
+        head, sep, value = name.partition("]=")
+        attribute, _, offset = head.partition("[")
+        slot = _slot(attribute, offset, window) if sep else None
+        if name == BIAS:  # the one feature without a value
+            slot, value = 4 * (2 * window + 1), BOS
+        if slot is not None:
+            slots.append(slot)
+            held.append(value)
+            positions.append(position)
+    values = value_ids(held)
+    keys = (np.array(slots, np.int64) * (len(values) + 1)
+            + np.array([values[value] for value in held], np.int64))
+    return values, keys, np.array(positions, np.intp)
+
+
+def _slot(attribute: str, offset: str, window: int) -> int | None:
+    if attribute not in ATTRIBUTES:
+        return None
+    try:
+        d = int(offset)
+    except ValueError:
+        return None
+    if abs(d) > window or _fmt_offset(d) != offset:
+        return None
+    return (d + window) * 4 + ATTRIBUTES.index(attribute)
+
+
+def key_names(keys: np.ndarray, values: list[str], window: int) -> list[str]:
+    """The feature names of ``window_keys`` over the value ids of
+    ``values``, in order; the inverse of ``template_keys``."""
+    names = []
+    for key in keys.tolist():
+        slot, value = divmod(key, len(values) + 1)
+        block, kind = divmod(slot, 4)
+        names.append(BIAS if block == 2 * window + 1 else
+                     f"{ATTRIBUTES[kind]}[{_fmt_offset(block - window)}]"
+                     f"={values[value]}")
+    return names

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from raretag import (
-    brat, chain, cli, conll, crf, embeddings, iob, neural, synthetic,
+    brat, chain, cli, conll, crf, embeddings, features, iob, model_io, neural,
+    synthetic,
 )
 from raretag.cli import CliError, parse_config, validate_run_config
 from raretag.lbfgs import LineSearchError
@@ -601,6 +603,16 @@ class TestTagging:
         count(neural, "predict")
         count(chain, "viterbi", lambda scores, *_: viterbi_rows.append(
             scores.shape[0]))
+        # the tracer's crf.active_pairs counts the rows of index_tokens'
+        # argument and the sizes of its result
+        row_lengths = []
+        index_tokens = crf.CrfModel.index_tokens
+
+        def counted_index(model, token_features):
+            row_lengths.append([len(row) for row in token_features])
+            return index_tokens(model, token_features)
+
+        monkeypatch.setattr(crf.CrfModel, "index_tokens", counted_index)
         assert run(["predict", model, train_conll, tmp_path / "pred.conll",
                     "--constrained"]) == 0
         items = conll.read_conll(train_conll.read_text())
@@ -611,6 +623,14 @@ class TestTagging:
                          tagger_name: passes, "chain.viterbi": passes}
         assert sum(viterbi_rows) == sum(len(item.sentence.tokens)
                                         for item in items)
+        if kind == "crf":
+            width = features.features_per_token(
+                model_io.load_model(model).window)
+            assert row_lengths == [
+                [width] * sum(len(item.sentence.tokens) for item in part)
+                for part in chain.passes(items)]
+        else:
+            assert row_lengths == []
 
 
 class TestImports:
@@ -748,6 +768,17 @@ class TestOsErrors:
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno 13] Permission denied: ")
+
+    def test_a_directory_target_is_named_and_left_clean(self, brat_pair,
+                                                         tmp_path, capsys,
+                                                         monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        assert run(["convert", brat_pair, "d"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: 'd'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "d"]
+        assert list((tmp_path / "d").iterdir()) == []
 
     def test_broken_pipe_is_a_clean_exit(self, monkeypatch):
         def closed(args):

@@ -9,13 +9,13 @@ from oracles import (
     max_relative_error,
 )
 from toy import make_tagged, toy_corpus
-from raretag import chain, crf
+from raretag import chain, crf, features
 from raretag.chain import sequence_score
 from raretag.crf import CrfModel, TrainConfig, make_zero_model
-from raretag.features import sentence_features
-from raretag.iob import TAGS, validate
+from raretag.features import features_per_token, sentence_features
+from raretag.iob import TAGS, TaggedSentence, validate
 from raretag.metrics import entity_level
-from raretag.tokenizer import Sentence
+from raretag.tokenizer import Sentence, Token
 
 
 def random_model(rng, n_features=8, n_labels=4, scale=0.5):
@@ -89,6 +89,80 @@ class TestModelFields:
     def test_labels_and_features_must_be_strings(self, labels, index):
         with pytest.raises(ValueError, match="strings"):
             make_zero_model(labels, index)
+
+    @pytest.mark.parametrize("index", [{"a": 0, "b": 0}, {"a": 1},
+                                       {"a": 0, "b": 2}, {"a": -1, "b": 0}])
+    def test_feature_rows_must_be_each_row_once(self, index):
+        # saving writes the names in row order and loading numbers them
+        # 0 ... F-1, so any other map would reload with other weights
+        with pytest.raises(ValueError, match="feature_index rows"):
+            CrfModel(["O", "B"], index, np.ones((len(index), 2)),
+                     np.zeros((2, 2)))
+
+
+# Attribute values that a string template could confuse: the sentinels as
+# tokens, the template's own punctuation, and case changes that alter length
+TRICKY_VALUES = ["BOS", "EOS", "a]=b", "[x]", "k=v", "w[0]=x", "]=", "bias",
+                 "İ", "ß", "ẞ", "The", "the"]
+
+
+def tricky_sentences(rng, count):
+    sentences = []
+    for _ in range(count):
+        tokens = []
+        for start in range(int(rng.integers(1, 7))):
+            surface, lemma, pos = rng.choice(TRICKY_VALUES, 3)
+            tokens.append(Token(str(surface), start, start + 1, str(lemma),
+                                str(pos)))
+        sentences.append(Sentence(tokens))
+    return sentences
+
+
+class TestFeatureKeys:
+    """The int64 keys of training and tagging against the feature names of
+    ``features.sentence_features``, the reference."""
+
+    @pytest.mark.parametrize("window", [0, 1, 2, 3])
+    def test_keys_index_tokens_as_their_feature_names(self, window):
+        rng = np.random.default_rng(70 + window)
+        train = tricky_sentences(rng, 15)
+        names = list(dict.fromkeys(f for s in train
+                                   for feats in sentence_features(s, window)
+                                   for f in feats))
+        # a model that holds part of them, in random order, so that tagging
+        # meets unseen features and unseen values
+        held = [names[i] for i in rng.permutation(len(names))
+                if rng.random() < 0.6]
+        model = make_zero_model(["O"], {f: i for i, f in enumerate(held)},
+                                window)
+        tagged = tricky_sentences(rng, 20)
+        keys = model.feature_keys(tagged)
+        tokens = sum(len(s.tokens) for s in tagged)
+        assert keys.shape == (tokens, features_per_token(window))
+        reference = model.index_tokens(
+            [feats for s in tagged for feats in sentence_features(s, window)])
+        indexed = model.index_tokens(keys)
+        assert [r.tolist() for r in indexed] == [r.tolist() for r in reference]
+        kept = sum(r.size for r in indexed)
+        assert 0 < kept < keys.size
+
+    @pytest.mark.parametrize("window", [0, 1, 2, 3])
+    def test_training_index_is_the_first_seen_feature_names(self, window):
+        rng = np.random.default_rng(80 + window)
+        sentences = tricky_sentences(rng, 25)
+        corpus = [TaggedSentence(s.tokens, ["O"] * len(s.tokens))
+                  for s in sentences]
+        index, indexed = crf.build_feature_index(corpus, window)
+        reference = [sentence_features(s, window) for s in sentences]
+        first_seen = {}
+        for token_features in reference:
+            for feats in token_features:
+                for f in feats:
+                    first_seen.setdefault(f, len(first_seen))
+        assert list(index.items()) == list(first_seen.items())
+        assert [[r.tolist() for r in tokens] for tokens in indexed] == [
+            [[index[f] for f in feats] for feats in token_features]
+            for token_features in reference]
 
 
 class TestGatherSum:
@@ -299,17 +373,21 @@ class TestTrain:
         with pytest.raises(ValueError):
             crf.train([], TrainConfig())
 
-    def test_features_extracted_once_per_sentence(self, monkeypatch):
+    def test_first_seen_feature_order_without_feature_strings(
+            self, monkeypatch):
         corpus = toy_corpus(seed=9, size=12)
-        calls = []
+        sentences = [Sentence(ts.tokens) for ts in corpus]
 
-        def counted(sentence, window):
-            calls.append(sentence)
-            return sentence_features(sentence, window)
+        def formatted(*args, **kwargs):
+            raise AssertionError("a feature string was formatted")
 
-        monkeypatch.setattr(crf, "sentence_features", counted)
-        model, _ = crf.train(corpus, TrainConfig(max_iterations=0))
-        assert len(calls) == len(corpus)
+        # training and tagging key the features and never name a token's
+        monkeypatch.setattr(features, "extract_features", formatted)
+        model, _ = crf.train(corpus, TrainConfig(max_iterations=5))
+        tags = model.tag(sentences)
+        monkeypatch.undo()
+        assert tags == [crf.viterbi(model, [sentence_features(s)])[0]
+                        for s in sentences]
         first_seen = {}
         for ts in corpus:
             for feats in sentence_features(Sentence(ts.tokens)):

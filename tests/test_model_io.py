@@ -19,7 +19,7 @@ from raretag.model_io import (
     load_model,
     save_model,
 )
-from raretag.tokenizer import Sentence
+from raretag.tokenizer import Sentence, Token
 
 
 DATA = Path(__file__).parent / "data"
@@ -54,6 +54,27 @@ class TestCrfContainer:
         assert np.array_equal(loaded.state_weights, model.state_weights)
         assert np.array_equal(loaded.transition_weights, model.transition_weights)
         assert loaded.window == model.window
+
+    def test_names_of_any_shape_load_and_resave_byte_for_byte(self, tmp_path):
+        # names that no window-2 template emits (the first six) are kept,
+        # and matched by name only
+        names = ["f0", "w[+0]=x", "w[-3]=x", "W[0]=x", "w[00]=x", "w[0]x",
+                 "bias", "w[0]=x", "w[0]=a]=b", "wl[0]=İ", "w[-1]=BOS",
+                 "pos[+1]=EOS"]
+        rng = np.random.default_rng(12)
+        model = crf.CrfModel(["O", "B-SIGN"], {f: i for i, f in enumerate(names)},
+                             rng.normal(size=(len(names), 2)),
+                             rng.normal(size=(2, 2)))
+        path, again = tmp_path / "model.bin", tmp_path / "again.bin"
+        save_model(model, path)
+        loaded = load_model(path)
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+        assert list(loaded.feature_index) == names
+        tagged = [Sentence([Token("x", 0, 1, "x", "X")])]
+        assert loaded.index_tokens(loaded.feature_keys(tagged))[0].tolist() == [
+            10, 7, 11, 6]
+        assert loaded.index_tokens([names[:6]])[0].tolist() == list(range(6))
 
     def test_predictions_identical_after_reload(self, tmp_path):
         model, corpus = trained_crf()
