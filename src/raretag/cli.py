@@ -5,7 +5,8 @@ comment). Its training settings, and their defaults, are the fields of
 ``crf.TrainConfig`` (``crf``) or of ``neural.FitConfig`` plus the embedding
 and history keys (``bilstm``, ``bilstm-crf``); keys that are unknown or that
 the chosen kind does not use are rejected before any work starts. All
-outputs are UTF-8 and every file is written atomically.
+outputs are UTF-8. Models, manifests, histories and CoNLL files are written
+atomically; ``gen-synthetic`` writes its corpus files directly, not atomically.
 ``RARETAG_CONFIG_DIR`` provides a default directory for relative config
 paths. The numpy-backed modules are imported by the commands that use
 them, so ``convert`` and ``gen-synthetic`` start without numpy.

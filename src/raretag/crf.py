@@ -14,6 +14,7 @@ feature names are the reference that the tests check the keys against.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -193,15 +194,21 @@ class _Packed:
     features: np.ndarray  # feature index of each active pair
 
 
-def _pack(indexed_batch: list[tuple[list[np.ndarray], np.ndarray]]) -> _Packed:
-    """Lay out indexed sentences longest first; ties keep their order."""
-    batch_sizes, token_rows = chain.pack([len(gold) for _, gold in indexed_batch])
-    gold = np.empty(len(token_rows), dtype=np.intp)
-    gold[token_rows] = np.concatenate([g for _, g in indexed_batch])
-    rows, features = _flat_pairs(
-        [idx for indexed, _ in indexed_batch for idx in indexed], token_rows
-    )
-    return _Packed(batch_sizes, gold, rows, features)
+def _pack(model: CrfModel, tokens: list[np.ndarray], tags: list[list[str]]
+          ) -> _Packed:
+    """Lay out sentences longest first, ties in order, from the indexed
+    features of all their tokens in turn and their gold tags."""
+    if not all(tags):
+        raise ValueError("batch contains an empty sentence")
+    try:
+        gold = np.array([model.label_index[t] for seq in tags for t in seq],
+                        dtype=np.intp)
+    except KeyError as err:
+        raise ValueError(f"unknown label in gold tags: {err}") from None
+    batch_sizes, token_rows = chain.pack([len(seq) for seq in tags])
+    packed_gold = np.empty_like(gold)
+    packed_gold[token_rows] = gold
+    return _Packed(batch_sizes, packed_gold, *_flat_pairs(tokens, token_rows))
 
 
 def _batch_nll_grad(
@@ -219,20 +226,6 @@ def _batch_nll_grad(
     return value, grad
 
 
-def _gold(model: CrfModel, indexed: list[np.ndarray], tags: list[str]
-          ) -> tuple[list[np.ndarray], np.ndarray]:
-    """An indexed sentence with its gold label indices, checked."""
-    if not indexed:
-        raise ValueError("batch contains an empty sentence")
-    if len(indexed) != len(tags):
-        raise ValueError("feature/tag length mismatch")
-    try:
-        gold = np.array([model.label_index[t] for t in tags], dtype=np.intp)
-    except KeyError as err:
-        raise ValueError(f"unknown label in gold tags: {err}") from None
-    return indexed, gold
-
-
 def nll_and_gradient(
     model: CrfModel,
     batch: list[tuple[list[list[str]], list[str]]],
@@ -247,10 +240,13 @@ def nll_and_gradient(
     """
     if not batch:
         raise ValueError("empty batch")
+    if any(len(token_features) != len(tags) for token_features, tags in batch):
+        raise ValueError("feature/tag length mismatch")
     F, L = len(model.feature_index), len(model.label_set)
     w = _flatten(model.state_weights, model.transition_weights)
-    packed = _pack([_gold(model, model.index_tokens(token_features), tags)
-                    for token_features, tags in batch])
+    packed = _pack(model, model.index_tokens(
+        [feats for token_features, _ in batch for feats in token_features]),
+        [tags for _, tags in batch])
     value, grad = _batch_nll_grad(w, packed, F, L, config.l2_coefficient)
     value += config.l1_coefficient * float(np.abs(w).sum())
     return value, grad
@@ -258,24 +254,15 @@ def nll_and_gradient(
 
 def build_feature_index(
     sentences: list[TaggedSentence], window: int = DEFAULT_WINDOW
-) -> tuple[dict[str, int], list[list[np.ndarray]]]:
-    """The training features in first-seen order, and every sentence's
-    tokens indexed by them. The corpus's features are compared as keys over
-    its own attribute values, and only each distinct one is named."""
-    plain = [Sentence(ts.tokens) for ts in sentences]
-    values = value_ids(token_values(plain))
-    distinct, first = np.unique(window_keys(plain, values, window),
+) -> dict[str, int]:
+    """The training features in first-seen order. The corpus's features are
+    compared as keys over its own attribute values, and only each distinct
+    one is named."""
+    values = value_ids(token_values(sentences))
+    distinct, first = np.unique(window_keys(sentences, values, window),
                                 return_index=True)
     names = key_names(distinct[np.argsort(first)], list(values), window)
-    index = {name: row for row, name in enumerate(names)}
-    # index_tokens is the one indexer of training and tagging; this model's
-    # weights are never read
-    indexer = CrfModel([], index, np.zeros((len(index), 0)), np.zeros((0, 0)),
-                       window)
-    tokens = indexer.index_tokens(indexer.feature_keys(plain))
-    lengths = [len(s.tokens) for s in plain]
-    ends = np.cumsum(lengths, dtype=np.intp).tolist()
-    return index, [tokens[end - n : end] for n, end in zip(lengths, ends)]
+    return {name: row for row, name in enumerate(names)}
 
 
 def train(
@@ -292,11 +279,11 @@ def train(
         raise ValueError("no training sentences")
     config = config or TrainConfig()
     labels = list(iob.TAGS)
-    feature_index, indexed = build_feature_index(sentences, config.window)
+    feature_index = build_feature_index(sentences, config.window)
     model = make_zero_model(labels, feature_index, config.window)
-    batch = _pack([_gold(model, tokens, ts.tags)
-                   for tokens, ts in zip(indexed, sentences)])
-    del indexed  # the packed arrays hold the same indices
+    # the fitted model's own indexer, which tagging uses too
+    batch = _pack(model, model.index_tokens(model.feature_keys(sentences)),
+                  [ts.tags for ts in sentences])
     F, L = len(feature_index), len(labels)
 
     def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
@@ -315,15 +302,22 @@ def train(
     return CrfModel(labels, feature_index, state, trans, config.window), result
 
 
+@functools.lru_cache(maxsize=8)
+def _masks(label_set: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """``iob.decode_masks`` as read-only arrays, built once per label set."""
+    start, trans = (np.array(mask, dtype=bool)
+                    for mask in iob.decode_masks(label_set))
+    start.flags.writeable = trans.flags.writeable = False
+    return start, trans
+
+
 def decode(scores: np.ndarray, transitions: np.ndarray, label_set: list[str],
            lengths: list[int], constrained: bool = False) -> list[list[str]]:
     """Viterbi labels of sentences with these token counts, decoded as one
     packed batch from the [N, L] scores of their concatenated tokens,
     optionally restricted to the moves ``iob.continues`` accepts."""
-    start_mask = trans_mask = None
-    if constrained:
-        start_mask, trans_mask = (np.array(mask, dtype=bool)
-                                  for mask in iob.decode_masks(label_set))
+    start_mask, trans_mask = _masks(tuple(label_set)) if constrained else (
+        None, None)
     batch_sizes, rows = chain.pack(lengths)
     packed = np.empty_like(scores)
     packed[rows] = scores

@@ -35,17 +35,18 @@ class OptimizeResult:
     evaluations: int = 0  # calls of the objective, line searches included
 
 
-def _two_loop(grad, s_list, y_list, rho_list):
+def _two_loop(grad, history):
+    """-H grad from the curvature triples ``(s, y, 1/s.y)``, oldest first."""
     q = grad.copy()
     alphas = []
-    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+    for s, y, rho in reversed(history):
         a = rho * np.dot(s, q)
         alphas.append(a)
         q -= a * y
-    if s_list:
-        s, y = s_list[-1], y_list[-1]
+    if history:
+        s, y, _ = history[-1]
         q *= np.dot(s, y) / np.dot(y, y)
-    for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
+    for (s, y, rho), a in zip(history, reversed(alphas)):
         b = rho * np.dot(y, q)
         q += (a - b) * s
     return -q
@@ -53,7 +54,7 @@ def _two_loop(grad, s_list, y_list, rho_list):
 
 def _wolfe_search(fun, x, f0, g0, direction, init_step, c1=1e-4, c2=0.9,
                   max_evals=30):
-    """Strong Wolfe search; returns (step, f, g, x_new)."""
+    """Strong Wolfe search; returns (x_new, f, g)."""
     dphi0 = float(np.dot(g0, direction))
     if dphi0 >= 0:
         raise LineSearchError(
@@ -100,20 +101,17 @@ def _wolfe_search(fun, x, f0, g0, direction, init_step, c1=1e-4, c2=0.9,
         a = 2.0 * a
     else:
         raise LineSearchError(f"no Wolfe step within {max_evals} expansions")
-    return a, f, g, x + a * direction
+    return x + a * direction, f, g
 
 
 def _pseudo_gradient(x, grad, l1):
-    pg = np.where(x > 0, grad + l1, np.where(x < 0, grad - l1, 0.0))
+    plus, minus = grad + l1, grad - l1
     at_zero = x == 0
-    plus = grad + l1
-    minus = grad - l1
-    pg = np.where(at_zero & (plus < 0), plus, pg)
-    pg = np.where(at_zero & (minus > 0), minus, pg)
-    return pg
+    return np.select([x > 0, x < 0, at_zero & (plus < 0), at_zero & (minus > 0)],
+                     [plus, minus, plus, minus], 0.0)
 
 
-def _owlqn_step(fun, x, f_total, grad, direction, pg, l1, max_evals=40):
+def _owlqn_step(fun, x, f_total, direction, pg, l1, max_evals=40):
     """Backtracking Armijo step with orthant projection."""
     orthant = np.where(x != 0, np.sign(x), -np.sign(pg))
     step = 1.0
@@ -154,63 +152,51 @@ def minimize(
     objective, fun = fun, counted
     x = np.asarray(x0, dtype=np.float64).copy()
     f, g = fun(x)
-    f_total = f + l1 * np.abs(x).sum()
-    trace = [f_total]
-    s_hist: deque = deque(maxlen=memory)
-    y_hist: deque = deque(maxlen=memory)
-    rho_hist: deque = deque(maxlen=memory)
+    # f is the total objective. The Wolfe search, which needs the smooth
+    # one, runs only at l1 = 0, where the two are the same float.
+    f = f + l1 * np.abs(x).sum()
+    trace = [f]
+    history: deque = deque(maxlen=memory)  # (s, y, 1 / s.y) triples
 
     converged = False
     message = "max_iterations reached"
     for it in range(1, max_iterations + 1):
-        if l1 > 0:
-            pg = _pseudo_gradient(x, g, l1)
-        else:
-            pg = g
+        pg = _pseudo_gradient(x, g, l1) if l1 > 0 else g
         if np.max(np.abs(pg)) < 1e-10:
             converged, message = True, "gradient below threshold"
             break
-        direction = _two_loop(pg, list(s_hist), list(y_hist), list(rho_hist))
+        direction = _two_loop(pg, history)
         if l1 > 0:
             direction[direction * -pg <= 0] = 0.0
             if not np.any(direction):
                 converged, message = True, "no descent orthant direction"
                 break
-            x_new, f_new_total, g_new = _owlqn_step(
-                fun, x, f_total, g, direction, pg, l1
-            )
-        else:
-            init_step = min(1.0, 1.0 / np.sum(np.abs(g))) if it == 1 else 1.0
-            try:
-                _, f_new, g_new, x_new = _wolfe_search(
-                    fun, x, f, g, direction, init_step
-                )
-            except LineSearchError as err:
-                raise LineSearchError(
-                    f"iteration {it}: {err} (f={f:.6g}, |g|max={np.max(np.abs(g)):.3e})"
-                ) from err
-            f_new_total = f_new
+        try:
+            if l1 > 0:
+                x_new, f_new, g_new = _owlqn_step(fun, x, f, direction, pg, l1)
+            else:
+                init_step = min(1.0, 1.0 / np.sum(np.abs(g))) if it == 1 else 1.0
+                x_new, f_new, g_new = _wolfe_search(fun, x, f, g, direction,
+                                                    init_step)
+        except LineSearchError as err:
+            raise LineSearchError(
+                f"iteration {it}: {err} (f={f:.6g}, |g|max={np.max(np.abs(g)):.3e})"
+            ) from err
 
         s = x_new - x
         y = g_new - g
         sy = float(np.dot(s, y))
         if sy > 1e-10:
-            s_hist.append(s)
-            y_hist.append(y)
-            rho_hist.append(1.0 / sy)
+            history.append((s, y, 1.0 / sy))
 
-        rel_change = abs(f_total - f_new_total) / max(
-            abs(f_total), abs(f_new_total), 1.0
-        )
-        x, g = x_new, g_new
-        f = f_new_total - l1 * np.abs(x).sum()
-        f_total = f_new_total
-        trace.append(f_total)
+        rel_change = abs(f - f_new) / max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        trace.append(f)
         if callback is not None:
-            callback(it, f_total)
+            callback(it, f)
         if rel_change < tol:
             converged, message = True, "relative objective change below tol"
             break
 
-    return OptimizeResult(x, f_total, len(trace) - 1, converged, message, trace,
+    return OptimizeResult(x, f, len(trace) - 1, converged, message, trace,
                           evaluations)

@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 
 from . import iob
-from .brat import EntityType
 
 TOKEN = "token"
 ENTITY = "entity"
@@ -76,9 +75,7 @@ def _aggregate(counts: dict[str, list[int]], granularity: str,
         p, r, f1 = _prf(tp, fp, fn)
         per_label[label] = LabelScores(p, r, f1, tp + fn)
 
-    tp_all = sum(c[0] for c in counts.values())
-    fp_all = sum(c[1] for c in counts.values())
-    fn_all = sum(c[2] for c in counts.values())
+    tp_all, fp_all, fn_all = map(sum, zip([0, 0, 0], *counts.values()))
     support = tp_all + fn_all
     micro = LabelScores(*_prf(tp_all, fp_all, fn_all), support)
 
@@ -115,46 +112,40 @@ def _check_shapes(gold: list[list[str]], pred: list[list[str]]) -> None:
             )
 
 
+def _count(gold_items: set[tuple], pred_items: set[tuple]
+           ) -> dict[str, list[int]]:
+    """[tp, fp, fn] of each label over items labelled by their last field."""
+    counts: dict[str, list[int]] = {}
+    for column, items in enumerate((gold_items & pred_items,
+                                    pred_items - gold_items,
+                                    gold_items - pred_items)):
+        for item in items:
+            counts.setdefault(item[-1], [0, 0, 0])[column] += 1
+    return counts
+
+
 def token_level(gold: list[list[str]], pred: list[list[str]]) -> EvalReport:
     """Per-tag scores over all non-O tags; O is excluded from the rows and
     from every average but contributes to accuracy."""
     _check_shapes(gold, pred)
-    labels = [t for t in iob.TAGS if t != iob.OUTSIDE]
-    counts = {label: [0, 0, 0] for label in labels}
-    correct = 0
-    total = 0
-    for g_seq, p_seq in zip(gold, pred):
-        for g, p in zip(g_seq, p_seq):
-            total += 1
-            if g == p:
-                correct += 1
-            if g == p and g != iob.OUTSIDE:
-                counts.setdefault(g, [0, 0, 0])[0] += 1
-            else:
-                if p != iob.OUTSIDE:
-                    counts.setdefault(p, [0, 0, 0])[1] += 1
-                if g != iob.OUTSIDE:
-                    counts.setdefault(g, [0, 0, 0])[2] += 1
-    accuracy = correct / total if total else 0.0
-    return _aggregate(counts, TOKEN, accuracy)
+    flat_gold, flat_pred = ([tag for seq in seqs for tag in seq]
+                            for seqs in (gold, pred))
+    correct = sum(g == p for g, p in zip(flat_gold, flat_pred))
+    accuracy = correct / len(flat_gold) if flat_gold else 0.0
+    gold_items, pred_items = ({(position, tag) for position, tag
+                               in enumerate(flat) if tag != iob.OUTSIDE}
+                              for flat in (flat_gold, flat_pred))
+    return _aggregate(_count(gold_items, pred_items), TOKEN, accuracy)
 
 
 def entity_level(gold: list[list[str]], pred: list[list[str]]) -> EvalReport:
     """Exact-span scores per entity type after IOB2 decoding of both sides."""
     _check_shapes(gold, pred)
-    counts = {t.value: [0, 0, 0] for t in EntityType}
-    for idx, (g_seq, p_seq) in enumerate(zip(gold, pred)):
-        g_spans = {(idx, s.type, s.token_start, s.token_end)
-                   for s in iob.decode(g_seq)}
-        p_spans = {(idx, s.type, s.token_start, s.token_end)
-                   for s in iob.decode(p_seq)}
-        for span in g_spans & p_spans:
-            counts.setdefault(span[1], [0, 0, 0])[0] += 1
-        for span in p_spans - g_spans:
-            counts.setdefault(span[1], [0, 0, 0])[1] += 1
-        for span in g_spans - p_spans:
-            counts.setdefault(span[1], [0, 0, 0])[2] += 1
-    return _aggregate(counts, ENTITY, None)
+    gold_spans, pred_spans = ({(idx, s.token_start, s.token_end, s.type)
+                               for idx, seq in enumerate(seqs)
+                               for s in iob.decode(seq)}
+                              for seqs in (gold, pred))
+    return _aggregate(_count(gold_spans, pred_spans), ENTITY, None)
 
 
 def _rows(report: EvalReport) -> list[tuple[str, LabelScores]]:

@@ -4,10 +4,11 @@ This is an approximation of a full NLP preprocessing pipeline. Sentences
 break where ``_BREAK_CANDIDATE`` finds terminal punctuation ('.', '!' or
 '?', then any closing quotes or brackets) followed by whitespace and an
 uppercase letter that does not end a listed abbreviation, and at blank
-lines. Tokens are the ``\\S+`` runs of the text with leading/trailing
-punctuation peeled off. Lemma falls back to the lowercased surface and PoS
-to "X". Projects that need real lemmas/PoS tags feed pre-annotated CoNLL
-through `raretag.conll` instead.
+lines. Tokens are the matches of ``_TOKEN``: each punctuation character
+that starts or ends a whitespace-free run, and the rest of the run. Lemma
+falls back to the lowercased surface and PoS to "X". Projects that need
+real lemmas/PoS tags feed pre-annotated CoNLL through `raretag.conll`
+instead.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ ABBREVIATIONS = frozenset(
 _BREAK_CANDIDATE = re.compile(
     r"(?=([.!?])[\"')\]}]*\s+(\S))|(?=\n[ \t]*\n\s*(\S))"
 )
-_PUNCT = set(string.punctuation)
+_P = re.escape(string.punctuation)
+# one punctuation character, or a run that neither starts nor ends with one
+_TOKEN = re.compile(rf"[{_P}]|[^\s{_P}](?:\S*[^\s{_P}])?")
 
 FALLBACK_POS = "X"
 
@@ -96,36 +99,16 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:])) if starts else []
 
 
-def _make_token(surface: str, start: int) -> Token:
-    return Token(surface, start, start + len(surface), surface.lower(), FALLBACK_POS)
-
-
-def _split_chunk(chunk: str, offset: int) -> list[Token]:
-    """Peel leading/trailing punctuation off one whitespace-free chunk."""
-    left, right = 0, len(chunk)
-    lead, tail = [], []
-    while left < right and chunk[left] in _PUNCT:
-        lead.append(_make_token(chunk[left], offset + left))
-        left += 1
-    while right > left and chunk[right - 1] in _PUNCT:
-        tail.append(_make_token(chunk[right - 1], offset + right - 1))
-        right -= 1
-    tokens = lead
-    if left < right:
-        tokens.append(_make_token(chunk[left:right], offset + left))
-    tokens.extend(reversed(tail))
-    return tokens
-
-
 def tokenize(sentence_text: str, base_offset: int = 0) -> list[Token]:
     """Split sentence text into tokens with offsets into the document.
 
-    Whitespace separates chunks; leading/trailing punctuation becomes
-    separate one-character tokens; internal punctuation (hyphens,
-    apostrophes) stays inside the token.
+    Each punctuation character that starts or ends a whitespace-free run
+    is a token of its own; the rest of the run, internal punctuation
+    (hyphens, apostrophes) included, is one token.
     """
-    return [token for chunk in re.finditer(r"\S+", sentence_text)
-            for token in _split_chunk(chunk.group(), base_offset + chunk.start())]
+    return [Token(m.group(), base_offset + m.start(), base_offset + m.end(),
+                  m.group().lower(), FALLBACK_POS)
+            for m in _TOKEN.finditer(sentence_text)]
 
 
 def tokenize_document(text: str) -> list[Sentence]:

@@ -633,6 +633,29 @@ class TestTagging:
             assert row_lengths == []
 
 
+    @pytest.mark.parametrize("kind", ["crf", "bilstm-crf"])
+    def test_constrained_tag_builds_the_iob_masks_once(
+            self, kind, trained_crf, trained_bilstm_crf, tmp_path,
+            monkeypatch):
+        model = trained_crf[0] if kind == "crf" else trained_bilstm_crf
+        items = conll.read_conll(trained_crf[1].read_text())
+        items *= 2 * chain.PASS_SENTENCES // len(items) + 1
+        assert len(list(chain.passes(items))) >= 3
+        to_tag = tmp_path / "in.conll"
+        to_tag.write_text(conll.write_conll(items))
+        builds = []
+        decode_masks = iob.decode_masks
+
+        def counted(label_set):
+            builds.append(label_set)
+            return decode_masks(label_set)
+
+        monkeypatch.setattr(iob, "decode_masks", counted)
+        assert run(["predict", model, to_tag, tmp_path / "pred.conll",
+                    "--constrained"]) == 0
+        assert len(builds) <= 1
+
+
 class TestImports:
     def test_convert_and_gen_synthetic_never_load_numpy(self, tmp_path):
         code = (

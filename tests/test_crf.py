@@ -152,17 +152,19 @@ class TestFeatureKeys:
         sentences = tricky_sentences(rng, 25)
         corpus = [TaggedSentence(s.tokens, ["O"] * len(s.tokens))
                   for s in sentences]
-        index, indexed = crf.build_feature_index(corpus, window)
-        reference = [sentence_features(s, window) for s in sentences]
+        index = crf.build_feature_index(corpus, window)
+        reference = [feats for s in sentences
+                     for feats in sentence_features(s, window)]
         first_seen = {}
-        for token_features in reference:
-            for feats in token_features:
-                for f in feats:
-                    first_seen.setdefault(f, len(first_seen))
+        for feats in reference:
+            for f in feats:
+                first_seen.setdefault(f, len(first_seen))
         assert list(index.items()) == list(first_seen.items())
-        assert [[r.tolist() for r in tokens] for tokens in indexed] == [
-            [[index[f] for f in feats] for feats in token_features]
-            for token_features in reference]
+        # training indexes the corpus through the zero model it then fits
+        model = make_zero_model(list(TAGS), index, window)
+        indexed = model.index_tokens(model.feature_keys(corpus))
+        assert [r.tolist() for r in indexed] == [
+            [index[f] for f in feats] for feats in reference]
 
 
 class TestGatherSum:
@@ -204,6 +206,15 @@ class TestGradient:
         model = make_zero_model(["a"], {"f": 0})
         with pytest.raises(ValueError, match="unknown label"):
             crf.nll_and_gradient(model, [([["f"]], ["zzz"])], TrainConfig())
+
+    def test_each_sentence_needs_one_tag_per_token(self):
+        model = make_zero_model(["a"], {"f": 0})
+        # the batch's token and tag totals agree; its sentences do not
+        batch = [([["f"], ["f"]], ["a"]), ([["f"]], ["a", "a"])]
+        with pytest.raises(ValueError, match="length mismatch"):
+            crf.nll_and_gradient(model, batch, TrainConfig())
+        with pytest.raises(ValueError, match="empty sentence"):
+            crf.nll_and_gradient(model, [([], [])], TrainConfig())
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(33)

@@ -107,3 +107,15 @@ class TestOrthantWise:
         strong = minimize(fun, np.zeros(4), l1=1.0, max_iterations=100, tol=1e-12)
         assert np.sum(strong.x == 0) >= np.sum(weak.x == 0)
         assert np.abs(strong.x).sum() < np.abs(weak.x).sum()
+
+
+@pytest.mark.parametrize("l1,search", [(0.0, "zoom"), (0.5, "orthant-wise")])
+def test_failed_line_search_reports_its_diagnostics(l1, search):
+    def uphill(x):  # the gradient claims that f falls along +x
+        return float(np.sum(x)), -np.ones_like(x)
+
+    with pytest.raises(LineSearchError) as err:
+        minimize(uphill, np.zeros(3), l1=l1)
+    message = str(err.value)
+    assert message.startswith(f"iteration 1: {search}")
+    assert "f=" in message and "|g|max=" in message

@@ -26,6 +26,10 @@ DATA = Path(__file__).parent / "data"
 # A BiLSTM-CRF written by the per-gate LSTM implementation, with its text
 # dump and the label scores it gave three sentences (float hex).
 V1_MODEL = DATA / "bilstm-crf-v1.model"
+# A CRF written at commit 6dd79fc by save_model(crf.train(toy_corpus(seed=1,
+# size=10), TrainConfig(max_iterations=15))), with the tags it gave the
+# sentences of toy_corpus(seed=84, size=8).
+CRF_V1_MODEL = DATA / "crf-v1.model"
 
 
 def trained_crf():
@@ -335,6 +339,21 @@ class TestRoundTripIsTheFormat:
             dump_text(path)
         assert cli.main(["dump", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: corrupt model header")
+
+
+class TestStoredCrf:
+    def test_loads_saves_byte_identical_and_tags_unchanged(self, tmp_path):
+        model = load_model(CRF_V1_MODEL)
+        path = tmp_path / "again.model"
+        save_model(model, path)
+        assert path.read_bytes() == CRF_V1_MODEL.read_bytes()
+        cases = json.loads((DATA / "crf-v1.tags.json").read_text())
+        sentences = [Sentence(make_tagged(case["words"],
+                                          ["O"] * len(case["words"])).tokens)
+                     for case in cases]
+        for constrained in (False, True):
+            assert model.tag(sentences, constrained) == [
+                case["tags"] for case in cases]
 
 
 class TestStoredTagger:

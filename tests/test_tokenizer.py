@@ -110,6 +110,17 @@ class TestTokenize:
         tokens = tokenize("(severe pain).")
         assert [t.surface for t in tokens] == ["(", "severe", "pain", ")", "."]
 
+    @pytest.mark.parametrize("text,surfaces", [
+        ("--", ["-", "-"]),
+        ("'rock'n'roll'", ["'", "rock'n'roll", "'"]),
+        ("«word»", ["«word»"]),  # guillemets are not ASCII punctuation
+        ("a\u00a0b", ["a", "b"]),  # a no-break space separates
+        ("(e.g.)", ["(", "e.g", ".", ")"]),
+        ("...", [".", ".", "."]),
+    ])
+    def test_token_grammar_edge_cases(self, text, surfaces):
+        assert [t.surface for t in tokenize(text)] == surfaces
+
     def test_fallback_lemma_and_pos(self):
         tok = tokenize("Anemia")[0]
         assert tok.lemma == "anemia"
