@@ -221,7 +221,7 @@ def _batch_nll_grad(
         scores, trans, batch.gold, batch.batch_sizes
     )
     grad_state = _gather_sum(d_scores, batch.rows, batch.features, F)
-    value = nll + 0.5 * l2 * float(np.dot(w, w))
+    value = nll + 0.5 * l2 * float(np.einsum("i,i->", w, w))
     grad = _flatten(grad_state, d_trans) + l2 * w
     return value, grad
 

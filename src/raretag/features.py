@@ -50,19 +50,13 @@ def extract_features(
     features = []
     for d in range(-window, window + 1):
         pos = index + d
-        o = _fmt_offset(d)
         if 0 <= pos < n:
             tok = sentence.tokens[pos]
-            features.append(f"w[{o}]={tok.surface}")
-            features.append(f"wl[{o}]={tok.surface.lower()}")
-            features.append(f"lemma[{o}]={tok.lemma}")
-            features.append(f"pos[{o}]={tok.pos}")
+            values = (tok.surface, tok.surface.lower(), tok.lemma, tok.pos)
         else:
-            sentinel = BOS if pos < 0 else EOS
-            features.append(f"w[{o}]={sentinel}")
-            features.append(f"wl[{o}]={sentinel}")
-            features.append(f"lemma[{o}]={sentinel}")
-            features.append(f"pos[{o}]={sentinel}")
+            values = (BOS if pos < 0 else EOS,) * 4
+        features.extend(f"{attribute}[{_fmt_offset(d)}]={value}"
+                        for attribute, value in zip(ATTRIBUTES, values))
     features.append(BIAS)
     return features
 

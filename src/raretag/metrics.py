@@ -70,8 +70,6 @@ def _aggregate(counts: dict[str, list[int]], granularity: str,
     per_label = {}
     for label in sorted(counts):
         tp, fp, fn = counts[label]
-        if tp == fp == fn == 0:
-            continue  # label absent from both gold and predictions
         p, r, f1 = _prf(tp, fp, fn)
         per_label[label] = LabelScores(p, r, f1, tp + fn)
 

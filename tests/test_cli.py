@@ -321,6 +321,17 @@ class TestTrain:
             f"error: {bad_conll} line 2: expected 3 or 4 tab-separated "
             "columns, got 2\n")
 
+    def test_conll_without_tag_column_is_named(self, tmp_path, capsys):
+        untagged = tmp_path / "untagged.conll"
+        untagged.write_text("x\tx\tX\n\ny\ty\tY\n")
+        config = tmp_path / "crf.cfg"
+        config.write_text(f"model_kind = crf\ntrain = {untagged}\n"
+                          f"model_out = {tmp_path}/never.model\n")
+        assert run(["train", config]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {untagged}: sentence 0 has no tag column\n")
+        assert not (tmp_path / "never.model").exists()
+
     def test_embedding_dim_must_match_the_vector_file(self, trained_crf,
                                                      tmp_path, capsys):
         _, train_conll, heldout_conll = trained_crf
@@ -520,6 +531,24 @@ class TestEvaluate:
                     "--min", "micro_f1"]) == 1
         assert "metric=value" in capsys.readouterr().err
 
+    def test_gold_without_tag_column_is_named(self, trained_crf, tmp_path,
+                                              capsys):
+        model, _, _ = trained_crf
+        untagged = tmp_path / "untagged.conll"
+        untagged.write_text("x\tx\tX\n")
+        assert run(["evaluate", model, untagged]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {untagged}: sentence 0 has no tag column\n"
+
+    def test_min_on_a_label_the_report_lacks(self, trained_crf, capsys):
+        model, train_conll, _ = trained_crf
+        assert run(["evaluate", model, train_conll,
+                    "--min", "PROTEIN_f1=0.5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: unknown metric target 'PROTEIN'\n"
+
     def test_non_finite_min_bound_rejected(self, tmp_path, capsys):
         conll_path = tmp_path / "gold.conll"
         conll_path.write_text("x\tx\tX\tO\n")
@@ -707,6 +736,45 @@ class TestDeterminism:
             )
             assert run(["train", config]) == 0
             models.append(model.read_bytes())
+        assert models[0] == models[1]
+
+    @pytest.mark.parametrize("kind", ["crf", "bilstm-crf"])
+    def test_model_bytes_do_not_depend_on_the_blas_thread_count(
+            self, kind, trained_crf, tmp_path):
+        if kind == "crf":
+            # 1,339 features and 12,132 weights: long enough that BLAS
+            # would sum a 1-D product over them in per-thread chunks
+            assert run(["gen-synthetic", tmp_path / "syn", "--seed", 7,
+                        "--size", 150]) == 0
+            train_conll = tmp_path / "train.conll"
+            assert run(["convert", tmp_path / "syn" / "train",
+                        train_conll]) == 0
+            settings = "max_iterations = 3\nconvergence_tol = 0\n"
+        else:
+            _, train_conll, heldout_conll = trained_crf
+            settings = (f"validation = {heldout_conll}\nembedding = random\n"
+                        "embedding_dim = 8\nhidden_dim = 5\nmax_epochs = 1\n"
+                        "seed = 2\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        models = []
+        for threads in ("1", "2"):
+            config = tmp_path / f"threads{threads}.cfg"
+            model = tmp_path / f"threads{threads}.model"
+            config.write_text(f"model_kind = {kind}\ntrain = {train_conll}\n"
+                              f"model_out = {model}\n{settings}")
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "raretag.cli", "train", str(config)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            models.append(model.read_bytes())
+        if kind == "crf":
+            fitted = model_io.load_model(model)
+            assert (fitted.state_weights.size
+                    + fitted.transition_weights.size) == 12_132
         assert models[0] == models[1]
 
 
