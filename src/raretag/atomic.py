@@ -20,20 +20,21 @@ os.umask(_UMASK)
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
-                               dir=path.parent)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
+                                   dir=path.parent)
         with os.fdopen(fd, "wb") as f:
             f.write(data)
             f.flush()
             os.fsync(f.fileno())
         os.chmod(tmp, 0o666 & ~_UMASK)
-        try:
-            os.replace(tmp, path)
-        except OSError as err:  # it names the temp file; the user gave path
+        os.replace(tmp, path)
+    except BaseException as err:
+        if tmp is not None:
+            os.unlink(tmp)
+        if isinstance(err, OSError):  # name path, not the temp file
             raise type(err)(err.errno, err.strerror, str(path)) from None
-    except BaseException:
-        os.unlink(tmp)
         raise
 
 

@@ -2,14 +2,14 @@
 
 All routines take state scores ``[N, L]`` and a transition matrix
 ``[L, L]`` (``trans[i, j]`` scores label i followed by label j). Shared by
-the feature-based CRF and the neural CRF output head. The forward
-recursion, log Z and Viterbi work in natural-log space with the
-log-sum-exp trick, so they stay stable for score magnitudes up to about
-1e3. ``forward_backward`` runs its backward recursion and forms the
-pairwise marginals in probability space, rescaled at every position (the
-scaled forward-backward of Rabiner 1989, section V.A), while the
-transitions span less than ``PRODUCT_SPAN``; wider transitions take the
-log-space path.
+the feature-based CRF and the neural CRF output head. ``forward_backward``
+runs one recursion in both directions: the backward pass is the forward
+pass over the reversed sentences (``reversed_rows``) with the transitions
+transposed. While the transitions span less than ``PRODUCT_SPAN``, the
+recursion and the pairwise marginals work in probability space, rescaled
+at every position (the scaled forward-backward of Rabiner 1989, section
+V.A); wider transitions, and Viterbi, work in natural-log space with the
+log-sum-exp trick. Both stay stable for score magnitudes up to about 1e3.
 
 ``forward_backward``, ``nll_and_gradients``, ``sequence_score`` and
 ``viterbi`` score or decode a batch of sentences in one packed, time-major
@@ -33,9 +33,9 @@ import numpy as np
 PASS_SENTENCES = 32
 
 # Bound on max - min of a transition matrix that forward_backward handles
-# in probability space: every rescaled backward sum is then at least
-# e^-600 and every pairwise rescaling factor at most e^600, both inside
-# float64's normal range (about e^-708 to e^709).
+# in probability space: every rescaled forward or backward sum is then at
+# least e^-600 and every pairwise rescaling factor at most e^600, both
+# inside float64's normal range (about e^-708 to e^709).
 PRODUCT_SPAN = 600.0
 
 
@@ -143,44 +143,28 @@ def forward_backward(
     the predecessor followed by label j.
     """
     sizes = _check(scores, transitions, batch_sizes)
-    counts = sizes.tolist()
-    starts = np.concatenate([[0], np.cumsum(sizes)]).tolist()
-    alphas = np.empty_like(scores)
-    betas = np.zeros_like(scores)
-    alphas[: counts[0]] = scores[: counts[0]]
-    for t in range(1, len(counts)):
-        n, prev, cur = counts[t], starts[t - 1], starts[t]
-        alphas[cur : cur + n] = scores[cur : cur + n] + logsumexp(
-            alphas[prev : prev + n, :, None] + transitions, axis=1
-        )
-    product = np.ptp(transitions) < PRODUCT_SPAN
-    if product:
-        trans_max = transitions.max()
-        exp_trans = np.exp(transitions - trans_max)
-    for t in range(len(counts) - 1, 0, -1):
-        n, prev, cur = counts[t], starts[t - 1], starts[t]
-        ahead = scores[cur : cur + n] + betas[cur : cur + n]
-        if product:
-            ahead_max = ahead.max(axis=1, keepdims=True)
-            betas[prev : prev + n] = np.log(
-                np.exp(ahead - ahead_max) @ exp_trans.T) + (ahead_max + trans_max)
-        else:
-            betas[prev : prev + n] = logsumexp(transitions + ahead[:, None, :],
-                                               axis=2)
+    trans_max = transitions.max()
+    exp_trans = np.exp(transitions - trans_max)
+    alphas = _forward(scores, transitions, exp_trans, sizes)
+    # each row's score plus its backward sum: the backward pass is the
+    # forward one over the reversed sentences, with the moves reversed
+    reverse = reversed_rows(sizes)
+    ahead_rows = _forward(scores[reverse], transitions.T, exp_trans.T,
+                          sizes)[reverse]
     N = scores.shape[0]
     pred, succ = links(sizes)
-    sentence = np.arange(N) - np.repeat(starts[:-1], sizes)
+    sentence = np.arange(N) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     last = np.ones(N, dtype=bool)
     last[pred] = False
-    log_z = np.empty(counts[0])
+    log_z = np.empty(sizes[0])
     log_z[sentence[last]] = logsumexp(alphas[last], axis=1)
     row_log_z = log_z[sentence]
-    unary = alphas + betas
+    unary = alphas + (ahead_rows - scores)
     unary -= row_log_z[:, None]
     np.exp(unary, out=unary)
     behind = alphas[pred]
-    ahead = scores[succ] + betas[succ]
-    if product:
+    ahead = ahead_rows[succ]
+    if np.ptp(transitions) < PRODUCT_SPAN:
         # log Z is at least behind_max + ahead_max + trans_max - span, so
         # the rescaling factor is at most e^span and no product overflows
         behind_max = behind.max(axis=1, keepdims=True)
@@ -197,6 +181,28 @@ def forward_backward(
         pairwise -= row_log_z[succ, None, None]
         np.exp(pairwise, out=pairwise)
     return float(log_z.sum()), unary, pairwise
+
+
+def _forward(scores: np.ndarray, transitions: np.ndarray,
+             exp_trans: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Forward log-sums [N, L]: row r, label j is the log-sum-exp of the
+    scores of every label path of r's sentence up to r that ends in j.
+    ``exp_trans`` is ``exp(transitions - transitions.max())``."""
+    counts = sizes.tolist()
+    starts = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    alphas = scores.copy()
+    product, trans_max = np.ptp(transitions) < PRODUCT_SPAN, transitions.max()
+    for t in range(1, len(counts)):
+        n, prev, cur = counts[t], starts[t - 1], starts[t]
+        behind = alphas[prev : prev + n]
+        if product:  # each row of the previous block rescaled by its max
+            top = behind.max(axis=1, keepdims=True)
+            alphas[cur : cur + n] += (np.log(np.exp(behind - top) @ exp_trans)
+                                      + top + trans_max)
+        else:
+            alphas[cur : cur + n] += logsumexp(behind[:, :, None] + transitions,
+                                               axis=1)
+    return alphas
 
 
 def nll_and_gradients(

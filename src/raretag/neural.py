@@ -396,7 +396,10 @@ def fit(
             loss_sum += value * weight
             weight_sum += weight
         train_loss = loss_sum / weight_sum
-        val_loss = loss(tagger, validation)
+        try:
+            val_loss = loss(tagger, validation)
+        except FloatingPointError as err:
+            raise FloatingPointError(f"epoch {epoch}, validation: {err}") from None
         history.epochs.append(epoch)
         history.train_loss.append(train_loss)
         history.val_loss.append(val_loss)

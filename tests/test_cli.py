@@ -162,6 +162,42 @@ class TestConfig:
             validate_run_config({"model_kind": "transformer", "train": "x",
                                  "model_out": "m"})
 
+    @pytest.mark.parametrize("lines, named", [
+        ("model_kind = crf\nmodel_out = {d}/m.model\n",
+         "config missing required key 'train'"),
+        ("model_kind = crf\ntrain = {d}/t.conll\n",
+         "config missing required key 'model_out'"),
+        ("model_kind = bilstm-crf\ntrain = {d}/t.conll\n"
+         "validation = {d}/v.conll\nmodel_out = {d}/m.model\n",
+         "bilstm-crf training requires 'embedding' "
+         "(either 'random' or a vector file path)"),
+    ], ids=["train", "model_out", "embedding"])
+    def test_missing_required_key_is_named(self, lines, named, tmp_path,
+                                           capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(lines.format(d=tmp_path))
+        assert run(["train", config]) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_train_embeddings_false_reaches_the_model(self, trained_crf,
+                                                      tmp_path, capsys):
+        assert parse_config("train_embeddings = false\n") == {
+            "train_embeddings": False}
+        _, train_conll, heldout_conll = trained_crf
+        config = tmp_path / "frozen.cfg"
+        model = tmp_path / "frozen.model"
+        config.write_text(
+            f"model_kind = bilstm-crf\ntrain = {train_conll}\n"
+            f"validation = {heldout_conll}\nembedding = random\n"
+            "train_embeddings = false\nembedding_dim = 8\nhidden_dim = 5\n"
+            f"max_epochs = 1\nseed = 2\nmodel_out = {model}\n")
+        assert run(["train", config]) == 0
+        capsys.readouterr()
+        assert run(["dump", model]) == 0
+        dump = capsys.readouterr().out.splitlines()
+        assert "  embedding_trainable: false" in dump
+
 
 class TestConvert:
     def test_two_pairs_two_doc_sections(self, brat_pair, tmp_path, capsys):
@@ -414,6 +450,28 @@ class TestTrain:
         assert err == "error: epoch 1, batch at index 0: non-finite loss nan\n"
         assert not (tmp_path / "never.model").exists()
 
+    @pytest.mark.parametrize("kind", ["bilstm", "bilstm-crf"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_validation_loss_names_its_epoch(self, kind,
+                                                        trained_crf,
+                                                        tmp_path, capsys):
+        _, _, heldout_conll = trained_crf
+        config = tmp_path / "bl.cfg"
+        model = tmp_path / "never.model"
+        # one batch per epoch: its loss is taken before the step that
+        # overflows the weights, so a validation loss fails first
+        config.write_text(
+            f"model_kind = {kind}\ntrain = {heldout_conll}\n"
+            f"validation = {heldout_conll}\nembedding = random\n"
+            "embedding_dim = 8\nhidden_dim = 5\nbatch_size = 1000\n"
+            f"learning_rate = 1e300\nmax_epochs = 3\nmodel_out = {model}\n")
+        assert run(["train", config]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: epoch [123], validation: non-finite loss (inf|nan)\n",
+            err), err
+        assert not model.exists()
+
     def test_config_file_sets_the_training_settings(self, trained_crf,
                                                      tmp_path, monkeypatch,
                                                      capsys):
@@ -559,6 +617,31 @@ class TestEvaluate:
             out, err = capsys.readouterr()
             assert out == ""
             assert err == f"error: --min {flag!r}: the bound must be finite\n"
+
+    def test_token_level_accuracy_rows(self, trained_crf, tmp_path, capsys):
+        model, train_conll, _ = trained_crf
+        predicted = tmp_path / "pred.conll"
+        assert run(["predict", model, train_conll, predicted,
+                    "--constrained"]) == 0
+        # the model's own tags as gold, with three O tokens made B-SIGN:
+        # still valid IOB2, and exactly three tokens wrong
+        lines = predicted.read_text().splitlines()
+        tokens = [i for i, line in enumerate(lines)
+                  if line and not line.startswith("#")]
+        for i in [i for i in tokens if lines[i].endswith("\tO")][:3]:
+            lines[i] = lines[i][: -len("O")] + "B-SIGN"
+        gold = tmp_path / "gold.conll"
+        gold.write_text("\n".join(lines) + "\n")
+        accuracy = (len(tokens) - 3) / len(tokens)
+        assert 0 < accuracy < 1
+        rows = {}
+        for fmt in ("tsv", "json-lines"):
+            assert run(["evaluate", model, gold, "--level", "token",
+                        "--format", fmt, "--constrained"]) == 0
+            rows[fmt] = capsys.readouterr().out.splitlines()[-1]
+        assert rows["tsv"] == f"accuracy\t{accuracy:.4f}\t\t\t"
+        assert json.loads(rows["json-lines"]) == {
+            "label": "accuracy", "value": round(accuracy, 4)}
 
 
 class TestPredict:
@@ -870,6 +953,23 @@ class TestOsErrors:
             f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: 'd'\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "d"]
         assert list((tmp_path / "d").iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["predict", "train"])
+    def test_a_missing_output_directory_is_named_and_left_clean(
+            self, command, trained_crf, tmp_path, capsys, monkeypatch):
+        model, conll_path, _ = trained_crf
+        monkeypatch.chdir(tmp_path)
+        target = Path("nope") / "out"
+        config = tmp_path / "crf.cfg"
+        config.write_text(f"model_kind = crf\ntrain = {conll_path}\n"
+                          f"model_out = {target}\nmax_iterations = 1\n")
+        argv = {"predict": ["predict", model, conll_path, target],
+                "train": ["train", config]}[command]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: "
+            f"'{target}'\n")
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_broken_pipe_is_a_clean_exit(self, monkeypatch):
         def closed(args):
