@@ -40,8 +40,9 @@ PRODUCT_SPAN = 600.0
 
 
 def logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
-    # ndarray methods, not np.max/np.sum: the recursions call this on small
-    # blocks, where the wrappers' Python overhead outweighs the arithmetic.
+    # ndarray methods, not np.max/np.sum: the log-space recursion calls this
+    # on small blocks, where the wrappers' Python overhead outweighs the
+    # arithmetic.
     amax = a.max(axis=axis, keepdims=True)
     amax = np.where(np.isfinite(amax), amax, 0.0)
     return np.log(np.exp(a - amax).sum(axis=axis)) + amax.squeeze(axis=axis)
@@ -151,13 +152,10 @@ def forward_backward(
     reverse = reversed_rows(sizes)
     ahead_rows = _forward(scores[reverse], transitions.T, exp_trans.T,
                           sizes)[reverse]
-    N = scores.shape[0]
+    # the reversal's first block is each sentence's last row, in order
+    log_z = logsumexp(alphas[reverse[: sizes[0]]], axis=1)
     pred, succ = links(sizes)
-    sentence = np.arange(N) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    last = np.ones(N, dtype=bool)
-    last[pred] = False
-    log_z = np.empty(sizes[0])
-    log_z[sentence[last]] = logsumexp(alphas[last], axis=1)
+    sentence = np.arange(len(alphas)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     row_log_z = log_z[sentence]
     unary = alphas + (ahead_rows - scores)
     unary -= row_log_z[:, None]

@@ -193,7 +193,6 @@ def cmd_convert(args) -> int:
     out_items = []
     dropped = 0
     discontinuous = 0
-    sentence_count = 0
     for doc in corpus.documents:
         resolved = brat.resolve_overlaps(doc)
         dropped += len(resolved.resolution_log) - len(doc.resolution_log)
@@ -207,10 +206,9 @@ def cmd_convert(args) -> int:
             conll.ConllSentence(doc.doc_id, sentence, t.tags)
             for sentence, t in zip(sentences, tagged)
         )
-        sentence_count += len(sentences)
     atomic_write_text(args.out_conll, conll.write_conll(out_items))
     print(
-        f"converted {len(corpus.documents)} documents, {sentence_count} "
+        f"converted {len(corpus.documents)} documents, {len(out_items)} "
         f"sentences; overlaps dropped: {dropped}; discontinuous flattened: "
         f"{discontinuous}"
     )
@@ -239,7 +237,7 @@ def _build_embedding_source(cfg: dict, train_sents, seed: int):
 
 
 def cmd_train(args) -> int:
-    from . import crf, lbfgs, model_io, neural
+    from . import crf, model_io, neural
 
     config_path = _resolve_config_path(args.config)
     cfg = validate_run_config(parse_config(read_utf8(config_path, CliError)))
@@ -253,6 +251,8 @@ def cmd_train(args) -> int:
 
     train_items = _read_tagged_conll(cfg["train"])
     val_items = _read_tagged_conll(cfg["validation"]) if "validation" in cfg else []
+    _check_labels(train_items, iob.TAGS, cfg["train"])
+    _check_labels(val_items, iob.TAGS, cfg.get("validation"))
     train_sents = _tagged_sentences(train_items)
     val_sents = _tagged_sentences(val_items)
     started = time.monotonic()
@@ -260,14 +260,12 @@ def cmd_train(args) -> int:
 
     if kind == "crf":
         # default hyperparameters: train on train+validation together
-        try:
-            model, opt = crf.train(train_sents + val_sents, settings)
-        except lbfgs.LineSearchError as err:
-            raise CliError(str(err)) from None
+        model, opt = crf.train(train_sents + val_sents, settings)
         final_metrics = {
             "objective": opt.fun,
             "iterations": opt.iterations,
             "converged": opt.converged,
+            "stop_reason": opt.message,
             "features": len(model.feature_index),
             "objective_evaluations": opt.evaluations,
             "objective_trace": opt.trace,
@@ -466,8 +464,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # an OSError, so it is caught first
         return EXIT_OK  # downstream pager/head closed the stream
     # every named parse error (Brat, CoNLL, metrics, embeddings, model
-    # files) subclasses ValueError; OSError covers missing, unreadable and
-    # directory paths
+    # files) subclasses ValueError; FloatingPointError covers a non-finite
+    # neural loss and a failed L-BFGS line search; OSError covers missing,
+    # unreadable and directory paths
     except (CliError, FloatingPointError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR

@@ -24,7 +24,7 @@ import numpy as np
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 
-class LineSearchError(RuntimeError):
+class LineSearchError(FloatingPointError):
     """Line search failed to make progress; carries iteration diagnostics."""
 
 
@@ -69,39 +69,38 @@ def _wolfe_search(fun, x, f0, g0, direction, init_step, c1=1e-4, c2=0.9,
         f, g = fun(x + a * direction)
         return f, g, float(np.einsum("i,i->", g, direction))
 
-    def zoom(lo, f_lo, hi, f_hi):
+    def zoom(lo, f_lo, g_lo, hi):
         for _ in range(max_evals):
             a = 0.5 * (lo + hi)
             f, g, d = phi(a)
             if f > f0 + c1 * a * dphi0 or f >= f_lo:
-                hi, f_hi = a, f
+                hi = a
             else:
                 if abs(d) <= -c2 * dphi0:
                     return a, f, g
                 if d * (hi - lo) >= 0:
-                    hi, f_hi = lo, f_lo
-                lo, f_lo = a, f
+                    hi = lo
+                lo, f_lo, g_lo = a, f, g
             if abs(hi - lo) < 1e-16:
                 break
         # interval collapsed; accept lo if it at least decreases f
-        f, g, _ = phi(lo)
-        if f < f0 and lo > 0:
-            return lo, f, g
+        if f_lo < f0 and lo > 0:
+            return lo, f_lo, g_lo
         raise LineSearchError("zoom failed to satisfy Wolfe conditions")
 
-    a_prev, f_prev = 0.0, f0
+    a_prev, f_prev, g_prev = 0.0, f0, g0
     a = init_step
     for i in range(max_evals):
         f, g, d = phi(a)
         if f > f0 + c1 * a * dphi0 or (i > 0 and f >= f_prev):
-            a, f, g = zoom(a_prev, f_prev, a, f)
+            a, f, g = zoom(a_prev, f_prev, g_prev, a)
             break
         if abs(d) <= -c2 * dphi0:
             break
         if d >= 0:
-            a, f, g = zoom(a, f, a_prev, f_prev)
+            a, f, g = zoom(a, f, g, a_prev)
             break
-        a_prev, f_prev = a, f
+        a_prev, f_prev, g_prev = a, f, g
         a = 2.0 * a
     else:
         raise LineSearchError(f"no Wolfe step within {max_evals} expansions")

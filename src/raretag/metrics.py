@@ -78,24 +78,21 @@ def _aggregate(counts: dict[str, list[int]], granularity: str,
     micro = LabelScores(*_prf(tp_all, fp_all, fn_all), support)
 
     with_support = [s for s in per_label.values() if s.support > 0]
-    if with_support:
-        n = len(with_support)
-        macro = LabelScores(
-            sum(s.precision for s in with_support) / n,
-            sum(s.recall for s in with_support) / n,
-            sum(s.f1 for s in with_support) / n,
-            support,
-        )
-        weighted = LabelScores(
-            sum(s.precision * s.support for s in with_support) / support,
-            sum(s.recall * s.support for s in with_support) / support,
-            sum(s.f1 * s.support for s in with_support) / support,
-            support,
-        )
-    else:
-        macro = LabelScores(0.0, 0.0, 0.0, 0)
-        weighted = LabelScores(0.0, 0.0, 0.0, 0)
+    macro = _mean(with_support, [1] * len(with_support))
+    weighted = _mean(with_support, [s.support for s in with_support])
     return EvalReport(granularity, per_label, micro, macro, weighted, accuracy)
+
+
+def _mean(scores: list[LabelScores], weights: list[int]) -> LabelScores:
+    """The weighted mean of each score, with the scores' summed support;
+    all zeros for no scores."""
+    if not scores:
+        return LabelScores(0.0, 0.0, 0.0, 0)
+    total = sum(weights)
+    p, r, f1 = (sum(value * w for value, w in zip(column, weights)) / total
+                for column in zip(*((s.precision, s.recall, s.f1)
+                                    for s in scores)))
+    return LabelScores(p, r, f1, sum(s.support for s in scores))
 
 
 def _check_shapes(gold: list[list[str]], pred: list[list[str]]) -> None:

@@ -79,9 +79,11 @@ class BiLstmTagger:
         if self.head_W.shape != (L, two_h) or self.head_b.shape != (L,):
             raise ValueError(f"head shapes {self.head_W.shape}, {self.head_b.shape}"
                              f" != ({L}, {two_h}), ({L},)")
-        if self.head_kind == HEAD_CRF:
-            if self.transitions is None or self.transitions.shape != (L, L):
-                raise ValueError("CRF head requires a [L, L] transition matrix")
+        if self.head_kind == HEAD_SOFTMAX:
+            if self.transitions is not None:
+                raise ValueError("a softmax head carries no transition matrix")
+        elif self.transitions is None or self.transitions.shape != (L, L):
+            raise ValueError("CRF head requires a [L, L] transition matrix")
         weights = [self.embedding.matrix, self.head_W, self.head_b]
         if self.transitions is not None:
             weights.append(self.transitions)
@@ -353,6 +355,9 @@ class FitHistory:
         return buf.getvalue()
 
 
+# a diverging fit is reported by its non-finite loss check, not by numpy's
+# overflow and invalid-value warnings on the way there
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit(
     tagger: BiLstmTagger,
     train: list[TaggedSentence],

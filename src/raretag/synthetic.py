@@ -100,14 +100,15 @@ class _DocBuilder:
         self.length = 0
         self.entities: list[EntityAnnotation] = []
 
-    def add_text(self, text: str) -> None:
+    def add_text(self, text: str) -> tuple[int, int]:
+        """Append text; returns the (start, end) span it occupies."""
+        start = self.length
         self.parts.append(text)
         self.length += len(text)
+        return start, self.length
 
     def add_entity(self, etype: EntityType, surface: str) -> None:
-        start = self.length
-        self.add_text(surface)
-        self._annotate(etype, [(start, self.length)], surface)
+        self._annotate(etype, [self.add_text(surface)], surface)
 
     def _annotate(self, etype, spans, surface) -> None:
         ann_id = f"T{len(self.entities) + 1}"
@@ -130,15 +131,11 @@ def _fill_template(builder: _DocBuilder, template: list,
 def _add_discontinuous(builder: _DocBuilder, rng: random.Random) -> None:
     first, gap, second = rng.choice(DISCONTINUOUS_SIGNS)
     builder.add_text("The exam noted ")
-    s1 = builder.length
-    builder.add_text(first)
-    e1 = builder.length
+    head = builder.add_text(first)
     builder.add_text(gap + " ")
-    s2 = builder.length
-    builder.add_text(second)
-    e2 = builder.length
+    tail = builder.add_text(second)
     builder.add_text(" during follow-up.")
-    builder._annotate(SIGN, [(s1, e1), (s2, e2)], f"{first} {second}")
+    builder._annotate(SIGN, [head, tail], f"{first} {second}")
 
 
 def _add_overlap(builder: _DocBuilder, rng: random.Random) -> None:
@@ -146,14 +143,11 @@ def _add_overlap(builder: _DocBuilder, rng: random.Random) -> None:
     # shorter mention loses overlap resolution downstream.
     phrase = rng.choice(LEXICONS[SIGN])
     builder.add_text("Records also mention ")
-    start = builder.length
-    builder.add_text(phrase)
-    end = builder.length
+    start, end = builder.add_text(phrase)
     builder.add_text(" repeatedly.")
     builder._annotate(SIGN, [(start, end)], phrase)
     last_word = phrase.rsplit(" ", 1)[-1]
-    sub_start = end - len(last_word)
-    builder._annotate(SYMPTOM, [(sub_start, end)], last_word)
+    builder._annotate(SYMPTOM, [(end - len(last_word), end)], last_word)
 
 
 def generate_document(doc_id: str, rng: random.Random,

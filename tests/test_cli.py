@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -451,7 +452,6 @@ class TestTrain:
         assert not (tmp_path / "never.model").exists()
 
     @pytest.mark.parametrize("kind", ["bilstm", "bilstm-crf"])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_validation_loss_names_its_epoch(self, kind,
                                                         trained_crf,
                                                         tmp_path, capsys):
@@ -471,6 +471,68 @@ class TestTrain:
             r"error: epoch [123], validation: non-finite loss (inf|nan)\n",
             err), err
         assert not model.exists()
+
+    @pytest.mark.parametrize("kind,failure", [
+        ("bilstm", "batch at index 1: non-finite loss inf"),
+        ("bilstm-crf", "batch at index 3: non-finite loss nan"),
+    ], ids=["bilstm", "bilstm-crf"])
+    def test_diverging_fit_prints_only_its_error(self, kind, failure,
+                                                 trained_crf, tmp_path,
+                                                 capsys):
+        _, _, heldout_conll = trained_crf
+        config = tmp_path / "bl.cfg"
+        model = tmp_path / "never.model"
+        # the first step overflows the weights; numpy warns on the way to
+        # the first non-finite batch loss
+        config.write_text(
+            f"model_kind = {kind}\ntrain = {heldout_conll}\n"
+            f"validation = {heldout_conll}\nembedding = random\n"
+            f"batch_size = 1\nlearning_rate = 1e300\nmodel_out = {model}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["train", config]) == 1
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        assert capsys.readouterr().err == f"error: epoch 1, {failure}\n"
+        assert not model.exists()
+
+    @pytest.mark.parametrize("kind", ["crf", "bilstm-crf"])
+    @pytest.mark.parametrize("bad_key", ["train", "validation"])
+    def test_unknown_gold_tag_fails_before_any_fit(self, kind, bad_key,
+                                                   trained_crf, tmp_path,
+                                                   monkeypatch, capsys):
+        _, train_conll, heldout_conll = trained_crf
+        paths = {"train": train_conll, "validation": heldout_conll}
+        bad = tmp_path / f"bad-{bad_key}.conll"
+        bad.write_text(paths[bad_key].read_text()
+                       + "\nodd\todd\tX\tB-FOO\n")
+        paths[bad_key] = bad
+
+        def never(*args, **kwargs):
+            raise AssertionError("a fit started")
+
+        monkeypatch.setattr(crf, "train", never)
+        monkeypatch.setattr(neural, "fit", never)
+        model = tmp_path / "never.model"
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"model_kind = {kind}\ntrain = {paths['train']}\n"
+            f"validation = {paths['validation']}\nmodel_out = {model}\n"
+            + ("embedding = random\n" if kind != "crf" else ""))
+        assert run(["train", config]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: tags not in the model's label set: B-FOO\n")
+        assert not model.exists()
+
+    def test_crf_manifest_names_its_stop_reason(self, trained_crf, tmp_path):
+        _, train_conll, _ = trained_crf
+        model = tmp_path / "crf.model"
+        config = tmp_path / "crf.cfg"
+        config.write_text(f"model_kind = crf\ntrain = {train_conll}\n"
+                          f"model_out = {model}\nmax_iterations = 2\n")
+        assert run(["train", config]) == 0
+        manifest = json.loads(
+            model.with_name(model.name + ".manifest.json").read_text())
+        assert manifest["metrics"]["stop_reason"] == "max_iterations reached"
 
     def test_config_file_sets_the_training_settings(self, trained_crf,
                                                      tmp_path, monkeypatch,

@@ -323,6 +323,15 @@ class TestTrain:
         assert report.micro.f1 == 1.0
         assert result.iterations <= 100
 
+    def test_progress_gets_each_accepted_iteration(self):
+        calls = []
+        _, result = crf.train(toy_corpus(seed=3, size=10),
+                              TrainConfig(max_iterations=5),
+                              progress=lambda *step: calls.append(step))
+        assert result.iterations >= 1
+        assert calls == [(i, result.trace[i])
+                         for i in range(1, result.iterations + 1)]
+
     def test_zero_iterations_returns_zero_model(self):
         corpus = toy_corpus(seed=2, size=5)
         model, _ = crf.train(corpus, TrainConfig(max_iterations=0))

@@ -109,6 +109,25 @@ class TestOrthantWise:
         assert np.abs(strong.x).sum() < np.abs(weak.x).sum()
 
 
+def test_collapsed_zoom_returns_its_stored_point():
+    """Slope -1 below x = 1 and +1000 above: the first step lands on the
+    kink, no point meets the curvature condition, and the zoom bracket
+    shrinks toward x = 1, which it accepts without evaluating it again."""
+    evaluated = []
+
+    def kinked(x):
+        evaluated.append(float(x[0]))
+        if x[0] < 1.0:
+            return float(-x[0]), np.array([-1.0])
+        return float(-1.0 + 1000.0 * (x[0] - 1.0)), np.array([1000.0])
+
+    result = minimize(kinked, np.zeros(1), max_iterations=1)
+    assert result.x.tolist() == [1.0]
+    assert result.fun == -1.0
+    assert result.evaluations == len(evaluated) == 32
+    assert len(set(evaluated)) == len(evaluated)
+
+
 @pytest.mark.parametrize("l1,search", [(0.0, "zoom"), (0.5, "orthant-wise")])
 def test_failed_line_search_reports_its_diagnostics(l1, search):
     def uphill(x):  # the gradient claims that f falls along +x

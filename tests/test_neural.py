@@ -181,6 +181,14 @@ class TestPackedPasses:
         with pytest.raises(ValueError, match="finite"):
             BiLstmTagger(**fields)
 
+    def test_softmax_head_with_transitions_rejected(self):
+        tagger, _ = small_tagger(HEAD_SOFTMAX)
+        fields = dict(vars(tagger))
+        del fields["label_index"]
+        fields["transitions"] = np.zeros((9, 9))
+        with pytest.raises(ValueError, match="softmax head"):
+            BiLstmTagger(**fields)
+
     @pytest.mark.parametrize("name,value,match", [
         ("label_set", [0, 1, 2, 3, 4, 5, 6, 7, 8], "strings"),
         ("embedding_trainable", 1, "bool"),
@@ -286,6 +294,19 @@ class TestFit:
         tagger, history = fit(tagger, train_split, val_split, config)
         assert history.best_epoch < history.stopped_epoch
         assert loss(tagger, val_split) == min(history.val_loss)
+
+    def test_progress_gets_each_history_row(self):
+        train_split = toy_corpus(seed=61, size=8)
+        val_split = toy_corpus(seed=62, size=4)
+        tagger, _ = small_tagger(HEAD_CRF, corpus=train_split)
+        calls = []
+        config = FitConfig(learning_rate=0.01, max_epochs=3, batch_size=4,
+                           hidden_dim=3)
+        _, history = fit(tagger, train_split, val_split, config,
+                         progress=lambda *row: calls.append(row))
+        assert len(calls) == 3
+        assert calls == list(zip(history.epochs, history.train_loss,
+                                 history.val_loss))
 
     def test_gradient_clipping_bounds_global_norm(self):
         rng = np.random.default_rng(0)
