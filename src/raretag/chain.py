@@ -5,10 +5,11 @@ All routines take state scores ``[N, L]`` and a transition matrix
 the feature-based CRF and the neural CRF output head. ``forward_backward``
 runs one recursion in both directions: the backward pass is the forward
 pass over the reversed sentences (``reversed_rows``) with the transitions
-transposed. While the transitions span less than ``PRODUCT_SPAN``, the
-recursion and the pairwise marginals work in probability space, rescaled
-at every position (the scaled forward-backward of Rabiner 1989, section
-V.A); wider transitions, and Viterbi, work in natural-log space with the
+transposed, and it returns expected transition counts, not per-pair
+marginals. While the transitions span less than ``PRODUCT_SPAN``, the
+recursion and the counts work in probability space, rescaled at every
+position (the scaled forward-backward of Rabiner 1989, section V.A);
+wider transitions, and Viterbi, work in natural-log space with the
 log-sum-exp trick. Both stay stable for score magnitudes up to about 1e3.
 
 ``forward_backward``, ``nll_and_gradients``, ``sequence_score`` and
@@ -34,7 +35,7 @@ PASS_SENTENCES = 32
 
 # Bound on max - min of a transition matrix that forward_backward handles
 # in probability space: every rescaled forward or backward sum is then at
-# least e^-600 and every pairwise rescaling factor at most e^600, both
+# least e^-600 and every pair's rescaling factor at most e^600, both
 # inside float64's normal range (about e^-708 to e^709).
 PRODUCT_SPAN = 600.0
 
@@ -135,13 +136,12 @@ def log_partition(scores: np.ndarray, transitions: np.ndarray) -> float:
 def forward_backward(
     scores: np.ndarray, transitions: np.ndarray, batch_sizes=None
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """(log Z summed over sentences, unary marginals [N, L], pairwise
-    marginals [N - B, L, L]).
+    """(log Z summed over sentences, unary marginals [N, L], expected
+    transition counts [L, L]).
 
-    Unary rows sum to 1. Pairwise row k is the probability of each label
-    pair at successor row ``batch_sizes[0] + k`` and its predecessor
-    (``[T-1, L, L]`` for one sentence): pairwise[k, i, j] is label i at
-    the predecessor followed by label j.
+    Unary rows sum to 1, and counts[i, j] sums the probability of label i
+    followed by label j over all N - B adjacent token pairs (Sutton and
+    McCallum 2012, *An Introduction to CRFs*, section 4.1).
     """
     sizes = _check(scores, transitions, batch_sizes)
     trans_max = transitions.max()
@@ -164,21 +164,23 @@ def forward_backward(
     ahead = ahead_rows[succ]
     if np.ptp(transitions) < PRODUCT_SPAN:
         # log Z is at least behind_max + ahead_max + trans_max - span, so
-        # the rescaling factor is at most e^span and no product overflows
+        # the rescaling factor is at most e^span and no product overflows;
+        # einsum, not @: the sum over pairs ignores the BLAS thread count
         behind_max = behind.max(axis=1, keepdims=True)
         ahead_max = ahead.max(axis=1, keepdims=True)
         ahead -= ahead_max
         np.exp(ahead, out=ahead)
         ahead *= np.exp(behind_max + ahead_max + trans_max
                         - row_log_z[succ, None])
-        pairwise = np.exp(behind - behind_max)[:, :, None] * exp_trans
-        pairwise *= ahead[:, None, :]
+        counts = exp_trans * np.einsum("ki,kj->ij",
+                                       np.exp(behind - behind_max), ahead)
     else:
         pairwise = behind[:, :, None] + transitions
         pairwise += ahead[:, None, :]
         pairwise -= row_log_z[succ, None, None]
         np.exp(pairwise, out=pairwise)
-    return float(log_z.sum()), unary, pairwise
+        counts = pairwise.sum(axis=0)
+    return float(log_z.sum()), unary, counts
 
 
 def _forward(scores: np.ndarray, transitions: np.ndarray,
@@ -208,15 +210,14 @@ def nll_and_gradients(
     batch_sizes=None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """(-log p(gold) summed over sentences, its gradient wrt scores [N, L],
-    wrt transitions [L, L]): marginals minus the gold one-hots and
-    transition counts."""
-    log_z, unary, pairwise = forward_backward(scores, transitions, batch_sizes)
+    wrt transitions [L, L]): the unary marginals minus the gold one-hots,
+    and the expected transition counts minus the gold ones."""
+    log_z, unary, d_trans = forward_backward(scores, transitions, batch_sizes)
     gold = np.asarray(gold)
     pred, succ = links(packed_sizes(batch_sizes, scores.shape[0]))
     nll = log_z - _path_score(scores, transitions, gold, pred, succ)
     unary[np.arange(len(gold)), gold] -= 1.0
     L = transitions.shape[0]
-    d_trans = pairwise.sum(axis=0)
     d_trans -= np.bincount(gold[pred] * L + gold[succ], minlength=L * L).reshape(L, L)
     return nll, unary, d_trans
 

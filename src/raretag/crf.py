@@ -3,8 +3,10 @@
 The model scores a tag sequence as the sum of state weights for every
 (active feature, tag) pair plus transition weights between adjacent tags.
 Training minimizes the L2/L1-regularized negative log-likelihood; the
-expected feature counts come from forward-backward marginals. Unseen
-test-time features are dropped, never grown into the model.
+expected feature counts come from forward-backward marginals and
+transition counts, in O(N * (K + L)) memory for N tokens of K features
+and L labels. Unseen test-time features read a zero sentinel weight row,
+never grown into the model.
 
 Training and tagging index features as int64 keys (``features.window_keys``)
 and never format a feature string; the functions that take each token's
@@ -56,24 +58,24 @@ class TrainConfig:
             raise ValueError(f"window must be >= 0, got {self.window}")
 
 
-def _flat_pairs(indexed: list[np.ndarray],
-                token_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(score row, feature index) of every active pair, token by token."""
-    sizes = [idx.size for idx in indexed]
-    return np.repeat(token_rows, sizes), np.concatenate(indexed)
+def _scores(state: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """[T, L] state scores of tokens with these [T, K] feature rows, one
+    column add at a time; row F, past the weights, is the zero sentinel."""
+    table = np.vstack([state, np.zeros(state.shape[1])])
+    scores = np.zeros((len(features), state.shape[1]))
+    for column in features.T:
+        scores += table[column]
+    return scores
 
 
-def _gather_sum(source: np.ndarray, take: np.ndarray, put: np.ndarray,
-                size: int) -> np.ndarray:
-    """[size, L] array whose row r sums ``source[take[k]]`` over all k with
-    ``put[k] == r``: state scores from weights, or the state gradient from
-    score gradients, one ``np.bincount`` per label over a contiguous copy
-    of that label's column."""
-    out = np.empty((source.shape[1], size))
-    for label, column in enumerate(source.T.copy()):
-        out[label] = np.bincount(put, column.take(take), minlength=size)
-    # C order: the callers read [size, L] rows, and tagging slows on a view
-    return out.T.copy()
+def _state_gradient(d_scores: np.ndarray, features: np.ndarray,
+                    F: int) -> np.ndarray:
+    """[F, L] sums of the score gradients of the tokens that hold each
+    feature, one ``np.bincount`` per label; the sentinel's sum is dropped."""
+    K = features.shape[1]
+    return np.array([np.bincount(features.ravel(), np.repeat(column, K),
+                                 minlength=F + 1)[:F]
+                     for column in d_scores.T]).T
 
 
 @dataclass
@@ -121,7 +123,7 @@ class CrfModel:
         order = np.argsort(keys)
         # a sentinel above every key keeps each search inside the array
         self._keys = np.append(keys[order], np.iinfo(np.int64).max)
-        self._key_rows = rows[order]
+        self._key_rows = np.append(rows[order], len(self.feature_index))
 
     def feature_keys(self, sentences: list[Sentence]) -> np.ndarray:
         """The ``features.window_keys`` of the sentences over the model's
@@ -129,22 +131,23 @@ class CrfModel:
         return window_keys(sentences, self._values, self.window)
 
     def index_tokens(self, token_features: np.ndarray | list[list[str]]
-                     ) -> list[np.ndarray]:
-        """Each token's feature rows, dropping unseen features, from the
-        [T, K] ``feature_keys`` of the tokens or from their feature names."""
+                     ) -> np.ndarray:
+        """[T, K] feature rows of the tokens, from their [T, K]
+        ``feature_keys`` or from their feature names, padded to the longest;
+        unseen features and padding read the zero sentinel row F."""
+        F = len(self.feature_index)
         if not isinstance(token_features, np.ndarray):
-            return [np.array([self.feature_index[f] for f in feats
-                              if f in self.feature_index], dtype=np.intp)
-                    for feats in token_features]
+            width = max(map(len, token_features), default=0)
+            rows = [[self.feature_index.get(f, F) for f in feats]
+                    + [F] * (width - len(feats)) for feats in token_features]
+            return np.array(rows, np.intp).reshape(len(rows), width)
         found = self._keys.searchsorted(token_features)
-        hit = self._keys[found] == token_features
-        rows = self._key_rows[found[hit]]
-        ends = np.cumsum(hit.sum(axis=1)).tolist()
-        return [rows[start:end] for start, end in zip([0, *ends], ends)]
+        rows = self._key_rows[found]
+        rows[self._keys[found] != token_features] = F
+        return rows
 
-    def state_scores(self, indexed: list[np.ndarray]) -> np.ndarray:
-        rows, features = _flat_pairs(indexed, np.arange(len(indexed)))
-        return _gather_sum(self.state_weights, features, rows, len(indexed))
+    def state_scores(self, indexed: np.ndarray) -> np.ndarray:
+        return _scores(self.state_weights, indexed)
 
     def tag(self, sentences: list[Sentence],
             constrained: bool = False) -> list[list[str]]:
@@ -185,19 +188,17 @@ def _unflatten(w: np.ndarray, F: int, L: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class _Packed:
-    """Sentences in ``chain.forward_backward``'s packed layout, with every
-    active (token, feature) pair flattened."""
+    """Sentences in ``chain.forward_backward``'s packed layout."""
 
     batch_sizes: np.ndarray  # sentences still running at each position
     gold: np.ndarray  # [N] gold label index of each packed row
-    rows: np.ndarray  # packed row of each active pair
-    features: np.ndarray  # feature index of each active pair
+    features: np.ndarray  # [N, K] feature rows of each packed row
 
 
-def _pack(model: CrfModel, tokens: list[np.ndarray], tags: list[list[str]]
+def _pack(model: CrfModel, tokens: np.ndarray, tags: list[list[str]]
           ) -> _Packed:
-    """Lay out sentences longest first, ties in order, from the indexed
-    features of all their tokens in turn and their gold tags."""
+    """Lay out sentences longest first, ties in order, from the [T, K]
+    ``index_tokens`` rows of all their tokens in turn and their gold tags."""
     if not all(tags):
         raise ValueError("batch contains an empty sentence")
     try:
@@ -206,9 +207,10 @@ def _pack(model: CrfModel, tokens: list[np.ndarray], tags: list[list[str]]
     except KeyError as err:
         raise ValueError(f"unknown label in gold tags: {err}") from None
     batch_sizes, token_rows = chain.pack([len(seq) for seq in tags])
-    packed_gold = np.empty_like(gold)
+    packed_gold, features = np.empty_like(gold), np.empty_like(tokens)
     packed_gold[token_rows] = gold
-    return _Packed(batch_sizes, packed_gold, *_flat_pairs(tokens, token_rows))
+    features[token_rows] = tokens
+    return _Packed(batch_sizes, packed_gold, features)
 
 
 def _batch_nll_grad(
@@ -216,11 +218,11 @@ def _batch_nll_grad(
 ) -> tuple[float, np.ndarray]:
     """Sum of per-sentence NLL plus the L2 term, with its gradient."""
     state, trans = _unflatten(w, F, L)
-    scores = _gather_sum(state, batch.features, batch.rows, len(batch.gold))
+    scores = _scores(state, batch.features)
     nll, d_scores, d_trans = chain.nll_and_gradients(
         scores, trans, batch.gold, batch.batch_sizes
     )
-    grad_state = _gather_sum(d_scores, batch.rows, batch.features, F)
+    grad_state = _state_gradient(d_scores, batch.features, F)
     value = nll + 0.5 * l2 * float(np.einsum("i,i->", w, w))
     grad = _flatten(grad_state, d_trans) + l2 * w
     return value, grad

@@ -5,11 +5,12 @@ line each, with or without a leading ``count dim`` header). The word2vec
 binary format is intentionally unsupported; convert externally. Out-of-
 vocabulary lookups follow the table's policy: zeros, a per-word seeded
 random vector (cached, so repeats are identical), or the mean vector.
+``hashlib`` maps OpenSSL's libcrypto (about 3 MB resident), so it is
+imported in ``_word_rng``, its one user: CRF commands hash no word.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +29,7 @@ class EmbeddingParseError(ValueError):
 
 
 def _word_rng(seed: int, word: str) -> np.random.Generator:
+    import hashlib  # see the module docstring
     digest = hashlib.blake2b(
         word.encode("utf-8"), digest_size=8, key=str(seed).encode()
     ).digest()

@@ -74,11 +74,12 @@ class TestForwardBackward:
             assert np.max(np.abs(unary.sum(axis=1) - 1.0)) < 1e-10
 
     def test_pairwise_marginals_sum_to_one(self):
+        # the counts sum the marginals of the 4 adjacent pairs, each 1
         rng = np.random.default_rng(4)
         scores, trans = rng.normal(0, 1, (5, 3)), rng.normal(0, 1, (3, 3))
-        _, _, pairwise = chain.forward_backward(scores, trans)
-        for t in range(4):
-            assert pairwise[t].sum() == pytest.approx(1.0, abs=1e-10)
+        _, _, counts = chain.forward_backward(scores, trans)
+        assert counts.shape == (3, 3)
+        assert counts.sum() == pytest.approx(4.0, abs=1e-10)
 
     def test_unary_matches_enumeration(self):
         rng = np.random.default_rng(5)
@@ -91,10 +92,10 @@ class TestForwardBackward:
     def test_pairwise_consistent_with_unary(self):
         rng = np.random.default_rng(6)
         scores, trans = rng.normal(0, 1, (6, 4)), rng.normal(0, 1, (4, 4))
-        _, unary, pairwise = chain.forward_backward(scores, trans)
-        for t in range(5):
-            assert np.max(np.abs(pairwise[t].sum(axis=1) - unary[t])) < 1e-10
-            assert np.max(np.abs(pairwise[t].sum(axis=0) - unary[t + 1])) < 1e-10
+        _, unary, counts = chain.forward_backward(scores, trans)
+        # rows: label i at a predecessor; columns: label j at a successor
+        assert np.max(np.abs(counts.sum(axis=1) - unary[:-1].sum(axis=0))) < 1e-10
+        assert np.max(np.abs(counts.sum(axis=0) - unary[1:].sum(axis=0))) < 1e-10
 
 
 class TestNllAndGradients:
@@ -184,20 +185,24 @@ def packed(arrays, row_of):
 def check_packed_forward_backward(scores, trans):
     """One packed forward_backward call equals the per-sentence calls."""
     sizes, row_of = pack(scores)
-    log_z, unary, pairwise = chain.forward_backward(
+    log_z, unary, counts = chain.forward_backward(
         packed(scores, row_of), trans, sizes)
-    assert pairwise.shape == (len(row_of) - sizes[0],) + trans.shape
-    total = 0.0
+    assert counts.shape == trans.shape
+    total, total_counts = 0.0, np.zeros_like(trans)
     for b, s in enumerate(scores):
-        z_b, unary_b, pairwise_b = chain.forward_backward(s, trans)
+        z_b, unary_b, counts_b = chain.forward_backward(s, trans)
         total += z_b
+        total_counts += counts_b
         for t in range(len(s)):
-            row = row_of[b, t]
-            assert np.max(np.abs(unary[row] - unary_b[t])) < 1e-12
-            if t:
-                assert np.max(np.abs(
-                    pairwise[row - sizes[0]] - pairwise_b[t - 1])) < 1e-12
+            assert np.max(np.abs(unary[row_of[b, t]] - unary_b[t])) < 1e-12
     assert log_z == pytest.approx(total, abs=1e-10)
+    assert np.max(np.abs(counts - total_counts)) < 1e-12
+    # rows and columns sum to the unary marginals of each side of the
+    # N - B adjacent pairs
+    pred, succ = chain.links(np.array(sizes))
+    assert np.max(np.abs(counts.sum(axis=1) - unary[pred].sum(axis=0))) < 1e-9
+    assert np.max(np.abs(counts.sum(axis=0) - unary[succ].sum(axis=0))) < 1e-9
+    assert counts.sum() == pytest.approx(len(row_of) - sizes[0], abs=1e-9)
 
 
 class TestPacked:
@@ -289,18 +294,20 @@ class TestMagnitudes:
     def test_matches_enumeration(self, scale, span):
         for scores, trans in self.cases(30, scale, span):
             assert (np.ptp(trans) < chain.PRODUCT_SPAN) == (span < 600)
-            log_z, unary, pairwise = chain.forward_backward(scores, trans)
+            log_z, unary, counts = chain.forward_backward(scores, trans)
             expected = brute_log_partition(scores, trans)
             assert log_z == pytest.approx(expected, rel=1e-13, abs=1e-9)
             assert np.max(np.abs(
                 unary - brute_unary_marginals(scores, trans))) < 1e-9
-            expected_pairwise = brute_pairwise_marginals(scores, trans)
-            assert pairwise.shape == expected_pairwise.shape
-            if len(scores) > 1:
-                assert np.max(np.abs(pairwise - expected_pairwise)) < 1e-9
-                # rows and columns sum to the unary marginals of each side
-                assert np.max(np.abs(pairwise.sum(axis=2) - unary[:-1])) < 1e-9
-                assert np.max(np.abs(pairwise.sum(axis=1) - unary[1:])) < 1e-9
+            expected_counts = brute_pairwise_marginals(scores, trans).sum(axis=0)
+            assert counts.shape == expected_counts.shape
+            assert np.max(np.abs(counts - expected_counts)) < 1e-9
+            # rows and columns sum to the unary marginals of each side
+            assert np.max(np.abs(
+                counts.sum(axis=1) - unary[:-1].sum(axis=0))) < 1e-9
+            assert np.max(np.abs(
+                counts.sum(axis=0) - unary[1:].sum(axis=0))) < 1e-9
+            assert counts.sum() == pytest.approx(len(scores) - 1, abs=1e-9)
 
     @pytest.mark.parametrize("span", [6.0, 599.9, 600.1, 2e3])
     def test_mixed_packed_batch_equals_per_sentence(self, span):

@@ -852,6 +852,35 @@ class TestImports:
         assert (tmp_path / "train.conll").read_text().startswith("# doc_id")
 
 
+    def test_crf_commands_never_load_hashlib(self, trained_crf, tmp_path):
+        # hashlib maps OpenSSL's libcrypto; only a hashed embedding word
+        # needs it, and a CRF run hashes none
+        _, train_conll, heldout_conll = trained_crf
+        model = tmp_path / "crf.model"
+        config = tmp_path / "crf.cfg"
+        config.write_text(f"model_kind = crf\ntrain = {train_conll}\n"
+                          f"model_out = {model}\nmax_iterations = 3\n")
+        code = (
+            "import sys\n"
+            "from raretag import cli\n"
+            "for argv in (sys.argv[1:3], sys.argv[3:7], sys.argv[7:]):\n"
+            "    assert cli.main(argv) == 0, argv[0]\n"
+            "    assert '_hashlib' not in sys.modules, argv[0]\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code,
+             "train", str(config),
+             "predict", str(model), str(heldout_conll),
+             str(tmp_path / "pred.conll"),
+             "evaluate", str(model), str(heldout_conll)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "pred.conll").is_file()
+
+
 class TestDeterminism:
     def test_crf_training_is_reproducible(self, trained_crf, tmp_path):
         _, train_conll, _ = trained_crf

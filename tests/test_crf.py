@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -72,11 +74,13 @@ class TestLogPartition:
         model = random_model(rng)
         feats = random_features(rng, model, 5)
         scores = model.state_scores(model.index_tokens(feats))
-        log_z, unary, pairwise = chain.forward_backward(
+        log_z, unary, counts = chain.forward_backward(
             scores, model.transition_weights)
         assert np.max(np.abs(unary.sum(axis=1) - 1.0)) < 1e-10
         assert log_z == pytest.approx(crf.log_partition(model, feats))
-        assert pairwise.shape == (4, 4, 4)
+        # the expected counts of the 4 label pairs over the 4 adjacent pairs
+        assert counts.shape == (4, 4)
+        assert counts.sum() == pytest.approx(4.0, abs=1e-10)
 
 
 class TestModelFields:
@@ -142,8 +146,12 @@ class TestFeatureKeys:
         reference = model.index_tokens(
             [feats for s in tagged for feats in sentence_features(s, window)])
         indexed = model.index_tokens(keys)
-        assert [r.tolist() for r in indexed] == [r.tolist() for r in reference]
-        kept = sum(r.size for r in indexed)
+        assert indexed.shape == keys.shape == reference.shape
+        # unseen features read the sentinel row, one past the model's rows
+        sentinel = len(held)
+        assert [r[r != sentinel].tolist() for r in indexed] == [
+            r[r != sentinel].tolist() for r in reference]
+        kept = np.count_nonzero(indexed != sentinel)
         assert 0 < kept < keys.size
 
     @pytest.mark.parametrize("window", [0, 1, 2, 3])
@@ -167,20 +175,40 @@ class TestFeatureKeys:
             [index[f] for f in feats] for feats in reference]
 
 
-class TestGatherSum:
-    def test_equals_the_pair_by_pair_loop(self):
+class TestDenseFeatureMatrix:
+    """Scores and the state gradient over [T, K] feature rows, where row F
+    is the zero sentinel, against loops over the (token, feature) pairs in
+    the same summation order, so exact."""
+
+    @staticmethod
+    def cases():
         rng = np.random.default_rng(23)
         for _ in range(20):
-            rows, size, pairs = int(rng.integers(1, 9)), int(rng.integers(1, 9)), 40
-            source = rng.normal(size=(rows, int(rng.integers(1, 6))))
-            take = rng.integers(0, rows, pairs)
-            put = rng.integers(0, size, pairs)
-            expected = np.zeros((size, source.shape[1]))
-            for k in range(pairs):  # the same summation order, so exact
-                expected[put[k]] += source[take[k]]
-            got = crf._gather_sum(source, take, put, size)
+            F, T = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            K, L = int(rng.integers(0, 5)), int(rng.integers(1, 6))
+            yield rng, F, L, rng.integers(0, F + 1, (T, K))
+
+    def test_scores_equal_the_pair_by_pair_loop(self):
+        for rng, F, L, features in self.cases():
+            state = rng.normal(size=(F, L))
+            expected = np.zeros((len(features), L))
+            for t, row in enumerate(features):
+                for f in row:
+                    expected[t] += state[f] if f < F else 0.0
+            scores = crf._scores(state, features)
+            assert np.array_equal(scores, expected)
+            assert scores.flags.c_contiguous  # tagging slows on a view
+
+    def test_state_gradient_equals_the_pair_by_pair_loop(self):
+        for rng, F, L, features in self.cases():
+            d_scores = rng.normal(size=(len(features), L))
+            expected = np.zeros((F, L))
+            for t, row in enumerate(features):
+                for f in row:
+                    if f < F:
+                        expected[f] += d_scores[t]
+            got = crf._state_gradient(d_scores, features, F)
             assert np.array_equal(got, expected)
-            assert got.flags.c_contiguous
 
 
 class TestGradient:
@@ -414,6 +442,24 @@ class TestTrain:
                 for f in feats:
                     first_seen.setdefault(f, len(first_seen))
         assert list(model.feature_index.items()) == list(first_seen.items())
+
+    def test_objective_memory_is_linear_in_tokens_features_and_labels(self):
+        # one evaluation over N tokens of K features and L labels holds a
+        # few [N, K] and [N, L] arrays at once, and nothing of N * L * L
+        corpus = toy_corpus(seed=12, size=600)
+        model = make_zero_model(list(TAGS), crf.build_feature_index(corpus))
+        batch = crf._pack(model, model.index_tokens(model.feature_keys(corpus)),
+                          [ts.tags for ts in corpus])
+        (N, K), (F, L) = batch.features.shape, model.state_weights.shape
+        assert N >= 2000
+        w = np.random.default_rng(12).normal(0, 0.5, F * L + L * L)
+        tracemalloc.start()
+        try:
+            crf._batch_nll_grad(w, batch, F, L, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * N * (K + L) * 8
 
     def test_one_forward_backward_per_objective_evaluation(self, monkeypatch):
         # perfbench/trace_stage.py counts chain.forward_backward calls and
