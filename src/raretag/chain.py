@@ -12,13 +12,14 @@ position (the scaled forward-backward of Rabiner 1989, section V.A);
 wider transitions, and Viterbi, work in natural-log space with the
 log-sum-exp trick. Both stay stable for score magnitudes up to about 1e3.
 
-``forward_backward``, ``nll_and_gradients``, ``sequence_score`` and
-``viterbi`` score or decode a batch of sentences in one packed, time-major
-layout (PyTorch's ``PackedSequence`` convention): sentences are sorted
-longest first, and the rows of position t are one contiguous block of
-``batch_sizes[t]`` sentences, in the same order in every block.
-``batch_sizes=None`` means one sentence of N tokens, on the same code
-path; it is the only form ``log_partition`` takes. ``pack``, ``links`` and
+``forward_backward``, ``log_partition``, ``nll_and_gradients``,
+``sequence_score`` and ``viterbi`` score or decode a batch of sentences in
+one packed, time-major layout (PyTorch's ``PackedSequence`` convention):
+sentences are sorted longest first, and the rows of position t are one
+contiguous block of ``batch_sizes[t]`` sentences, in the same order in
+every block. ``batch_sizes=None`` means one sentence of N tokens, on the
+same code path. ``log_partition`` runs the forward recursion alone, for a
+loss without gradients. ``pack``, ``links`` and
 ``reversed_rows`` build and read this layout, and ``passes`` cuts a corpus
 into the ``PASS_SENTENCES``-sentence passes that the BiLSTM losses and
 both taggers run.
@@ -128,9 +129,14 @@ def _path_score(scores: np.ndarray, transitions: np.ndarray,
     return total
 
 
-def log_partition(scores: np.ndarray, transitions: np.ndarray) -> float:
-    """log Z over all L^T label sequences of one sentence."""
-    return forward_backward(scores, transitions)[0]
+def log_partition(scores: np.ndarray, transitions: np.ndarray,
+                  batch_sizes=None) -> float:
+    """log Z over all label sequences, summed over sentences: the forward
+    recursion alone, the same number that ``forward_backward`` returns."""
+    sizes = _check(scores, transitions, batch_sizes)
+    alphas = _forward(scores, transitions,
+                      np.exp(transitions - transitions.max()), sizes)
+    return float(_log_z(alphas, reversed_rows(sizes), sizes).sum())
 
 
 def forward_backward(
@@ -152,16 +158,19 @@ def forward_backward(
     reverse = reversed_rows(sizes)
     ahead_rows = _forward(scores[reverse], transitions.T, exp_trans.T,
                           sizes)[reverse]
-    # the reversal's first block is each sentence's last row, in order
-    log_z = logsumexp(alphas[reverse[: sizes[0]]], axis=1)
+    log_z = _log_z(alphas, reverse, sizes)
     pred, succ = links(sizes)
     sentence = np.arange(len(alphas)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     row_log_z = log_z[sentence]
-    unary = alphas + (ahead_rows - scores)
-    unary -= row_log_z[:, None]
-    np.exp(unary, out=unary)
     behind = alphas[pred]
     ahead = ahead_rows[succ]
+    # the unary marginals, alphas + (ahead_rows - scores), in ahead_rows's
+    # buffer: the call holds at most about four [N, L] arrays at once
+    ahead_rows -= scores
+    unary = np.add(alphas, ahead_rows, out=ahead_rows)
+    del alphas
+    unary -= row_log_z[:, None]
+    np.exp(unary, out=unary)
     if np.ptp(transitions) < PRODUCT_SPAN:
         # log Z is at least behind_max + ahead_max + trans_max - span, so
         # the rescaling factor is at most e^span and no product overflows;
@@ -172,8 +181,9 @@ def forward_backward(
         np.exp(ahead, out=ahead)
         ahead *= np.exp(behind_max + ahead_max + trans_max
                         - row_log_z[succ, None])
-        counts = exp_trans * np.einsum("ki,kj->ij",
-                                       np.exp(behind - behind_max), ahead)
+        behind -= behind_max
+        np.exp(behind, out=behind)
+        counts = exp_trans * np.einsum("ki,kj->ij", behind, ahead)
     else:
         pairwise = behind[:, :, None] + transitions
         pairwise += ahead[:, None, :]
@@ -181,6 +191,13 @@ def forward_backward(
         np.exp(pairwise, out=pairwise)
         counts = pairwise.sum(axis=0)
     return float(log_z.sum()), unary, counts
+
+
+def _log_z(alphas: np.ndarray, reverse: np.ndarray,
+           sizes: np.ndarray) -> np.ndarray:
+    """Each sentence's log Z from its forward rows: the reversal's first
+    block is each sentence's last row, in order."""
+    return logsumexp(alphas[reverse[: sizes[0]]], axis=1)
 
 
 def _forward(scores: np.ndarray, transitions: np.ndarray,

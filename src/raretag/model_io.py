@@ -17,14 +17,16 @@ import json
 import math
 import struct
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .atomic import atomic_write_bytes
 from .crf import CrfModel
-from .embeddings import EmbeddingTable
-from .lstm import GATES, LstmCell
-from .neural import HEAD_CRF, BiLstmTagger
+
+if TYPE_CHECKING:  # imported where a BiLSTM model is built or saved
+    from .lstm import LstmCell
+    from .neural import BiLstmTagger
 
 MAGIC = b"RARETAG\0"
 VERSION = 1
@@ -101,6 +103,7 @@ def _crf_payload(model: CrfModel) -> tuple[str, dict, list]:
 
 def _cell_arrays(prefix: str, cell: LstmCell) -> list[tuple[str, np.ndarray]]:
     """The fused weights' gate row blocks, stored as one array each."""
+    from .lstm import GATES
     H = cell.hidden_dim
     return [(f"{prefix}.{name}_{gate}", weights[k * H : (k + 1) * H])
             for k, gate in enumerate(GATES)
@@ -108,6 +111,7 @@ def _cell_arrays(prefix: str, cell: LstmCell) -> list[tuple[str, np.ndarray]]:
 
 
 def _tagger_payload(tagger: BiLstmTagger) -> tuple[str, dict, list]:
+    from .neural import HEAD_CRF
     words = sorted(tagger.embedding.vocab, key=tagger.embedding.vocab.get)
     meta = {
         "label_set": tagger.label_set,
@@ -134,6 +138,7 @@ def _tagger_payload(tagger: BiLstmTagger) -> tuple[str, dict, list]:
 def _payload(model: CrfModel | BiLstmTagger) -> tuple[str, dict, list]:
     if isinstance(model, CrfModel):
         return _crf_payload(model)
+    from .neural import BiLstmTagger
     if isinstance(model, BiLstmTagger):
         return _tagger_payload(model)
     raise TypeError(f"cannot serialize {type(model).__name__}")
@@ -145,6 +150,7 @@ def save_model(model: CrfModel | BiLstmTagger, path: str | Path) -> None:
 
 def _load_cell(prefix: str, arrays: dict, input_dim: int,
                hidden_dim: int) -> LstmCell:
+    from .lstm import GATES, LstmCell
     W, U, b = (np.concatenate([arrays[f"{prefix}.{name}_{g}"] for g in GATES])
                for name in "WUb")
     return LstmCell(input_dim, hidden_dim, W, U, b)
@@ -159,6 +165,8 @@ def _build(kind: str, meta: dict, arrays: dict) -> CrfModel | BiLstmTagger:
             arrays["transition_weights"],
             meta["window"],
         )
+    from .embeddings import EmbeddingTable
+    from .neural import BiLstmTagger
     dim, hidden = meta["embedding_dim"], meta["hidden_dim"]
     table = EmbeddingTable(
         dim,

@@ -6,8 +6,9 @@ per pass in ``chain``'s packed layout (no padding), with one embedding
 gather, one recurrence per direction and one head per pass; tagging
 decodes each pass with one Viterbi call. Training is Adam with bias
 correction, global-norm gradient clipping and patience-based early
-stopping on the validation loss; given a fixed seed a run is fully
-deterministic.
+stopping on the validation loss, which on the CRF head runs the forward
+recursion only (``chain.log_partition``); given a fixed seed a run is
+fully deterministic.
 """
 
 from __future__ import annotations
@@ -259,6 +260,9 @@ def _pass_loss(tagger, sentences, denom, grads) -> float:
         picked = np.arange(len(gold)), gold
         value = float(-np.log(d_raw[picked]).sum())
         d_raw[picked] -= 1.0
+    elif grads is None:  # the NLL alone: the forward recursion, no marginals
+        return (chain.log_partition(raw, tagger.transitions, sizes)
+                - chain.sequence_score(raw, tagger.transitions, gold, sizes))
     else:
         value, d_raw, d_trans = chain.nll_and_gradients(
             raw, tagger.transitions, gold, sizes)

@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from raretag import chain
 from raretag.brat import Document, EntityAnnotation, EntityType, SpanFragment
 from raretag.iob import OUTSIDE, IobError, TaggedSentence, validate
 from raretag.tokenizer import Sentence, tokenize_document
@@ -50,6 +51,45 @@ def log_partition_backward(scores: np.ndarray, transitions: np.ndarray) -> float
     for t in range(scores.shape[0] - 1, 0, -1):
         beta = logsumexp(transitions + (scores[t] + beta)[None, :], axis=1)
     return float(logsumexp(scores[0] + beta, axis=0))
+
+
+def allocating_forward_backward(scores: np.ndarray, transitions: np.ndarray,
+                                batch_sizes=None):
+    """``chain.forward_backward`` with a fresh array for every
+    intermediate: the same float operations in the same order, so the
+    in-place version must equal it bit for bit."""
+    sizes = chain._check(scores, transitions, batch_sizes)
+    trans_max = transitions.max()
+    exp_trans = np.exp(transitions - trans_max)
+    alphas = chain._forward(scores, transitions, exp_trans, sizes)
+    reverse = chain.reversed_rows(sizes)
+    ahead_rows = chain._forward(scores[reverse], transitions.T, exp_trans.T,
+                                sizes)[reverse]
+    log_z = chain.logsumexp(alphas[reverse[: sizes[0]]], axis=1)
+    pred, succ = chain.links(sizes)
+    sentence = np.arange(len(alphas)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    row_log_z = log_z[sentence]
+    unary = alphas + (ahead_rows - scores)
+    unary -= row_log_z[:, None]
+    np.exp(unary, out=unary)
+    behind = alphas[pred]
+    ahead = ahead_rows[succ]
+    if np.ptp(transitions) < chain.PRODUCT_SPAN:
+        behind_max = behind.max(axis=1, keepdims=True)
+        ahead_max = ahead.max(axis=1, keepdims=True)
+        ahead -= ahead_max
+        np.exp(ahead, out=ahead)
+        ahead *= np.exp(behind_max + ahead_max + trans_max
+                        - row_log_z[succ, None])
+        counts = exp_trans * np.einsum("ki,kj->ij",
+                                       np.exp(behind - behind_max), ahead)
+    else:
+        pairwise = behind[:, :, None] + transitions
+        pairwise += ahead[:, None, :]
+        pairwise -= row_log_z[succ, None, None]
+        np.exp(pairwise, out=pairwise)
+        counts = pairwise.sum(axis=0)
+    return float(log_z.sum()), unary, counts
 
 
 def brute_viterbi(

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import (
+    allocating_forward_backward,
     brute_log_partition,
     brute_nll_gradients,
     brute_pairwise_marginals,
@@ -15,6 +17,7 @@ from oracles import (
     max_relative_error,
 )
 from raretag import chain
+from toy import toy_corpus
 
 
 def random_case(rng, max_t=6, max_l=5, scale=1.0):
@@ -318,6 +321,52 @@ class TestMagnitudes:
             scores = [rng.uniform(-scale, scale, (int(rng.integers(1, 7)), L))
                       for scale in rng.choice([1.0, 10.0, 1e3], 6)]
             check_packed_forward_backward(scores, trans)
+
+
+class TestOwnBuffers:
+    """forward_backward works in the buffers it allocates, with the same
+    float operations as ``oracles.allocating_forward_backward``."""
+
+    @pytest.mark.parametrize("span", [6.0, 599.9, 600.1, 2e3])
+    def test_bit_identical_to_allocating_version(self, span):
+        rng = np.random.default_rng(40)
+        for _ in range(30):
+            scores, _, _ = ragged_batch(rng, max_t=9, max_sentences=12)
+            trans = spanned_transitions(rng, scores[0].shape[1], span)
+            sizes, row_of = pack(scores)
+            flat = packed(scores, row_of)
+            got = chain.forward_backward(flat, trans, sizes)
+            expected = allocating_forward_backward(flat, trans, sizes)
+            assert got[0] == expected[0]
+            assert np.array_equal(got[1], expected[1])
+            assert np.array_equal(got[2], expected[2])
+
+    @pytest.mark.parametrize("span", [6.0, 2e3])
+    def test_log_partition_is_forward_backward_log_z(self, span):
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            scores, _, _ = ragged_batch(rng)
+            trans = spanned_transitions(rng, scores[0].shape[1], span)
+            sizes, row_of = pack(scores)
+            flat = packed(scores, row_of)
+            assert (chain.log_partition(flat, trans, sizes)
+                    == chain.forward_backward(flat, trans, sizes)[0])
+
+    def test_working_set_is_at_most_five_score_matrices(self):
+        sentences = toy_corpus(seed=12, size=600)
+        sizes, _ = chain.pack([len(s.tokens) for s in sentences])
+        N, L = int(sizes.sum()), 9
+        rng = np.random.default_rng(42)
+        scores, trans = rng.normal(size=(N, L)), rng.normal(size=(L, L))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            chain.forward_backward(scores, trans, sizes)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * N * L * 8, peak / (N * L * 8)
 
 
 def viterbi_masks(rng, L):

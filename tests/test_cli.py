@@ -831,6 +831,17 @@ class TestTagging:
 
 
 class TestImports:
+    @staticmethod
+    def run_fresh(code, argv, timeout=120):
+        """Run ``code`` with ``argv`` in a new interpreter that imports
+        raretag from this tree."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                              env=env, capture_output=True, text=True,
+                              timeout=timeout)
+
     def test_convert_and_gen_synthetic_never_load_numpy(self, tmp_path):
         code = (
             "import sys\n"
@@ -839,15 +850,10 @@ class TestImports:
             "    assert cli.main(argv) == 0\n"
             "    assert 'numpy' not in sys.modules, argv[0]\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", code,
-             "gen-synthetic", str(tmp_path / "syn"), "--size=6",
-             "convert", str(tmp_path / "syn" / "train"),
-             str(tmp_path / "train.conll")],
-            env=env, capture_output=True, text=True, timeout=60)
+        proc = self.run_fresh(
+            code, ["gen-synthetic", tmp_path / "syn", "--size=6",
+                   "convert", tmp_path / "syn" / "train",
+                   tmp_path / "train.conll"], timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "train.conll").read_text().startswith("# doc_id")
 
@@ -867,16 +873,29 @@ class TestImports:
             "    assert cli.main(argv) == 0, argv[0]\n"
             "    assert '_hashlib' not in sys.modules, argv[0]\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", code,
-             "train", str(config),
-             "predict", str(model), str(heldout_conll),
-             str(tmp_path / "pred.conll"),
-             "evaluate", str(model), str(heldout_conll)],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = self.run_fresh(
+            code, ["train", config,
+                   "predict", model, heldout_conll, tmp_path / "pred.conll",
+                   "evaluate", model, heldout_conll])
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "pred.conll").is_file()
+
+    def test_crf_predict_and_evaluate_never_load_bilstm_code(self, trained_crf,
+                                                             tmp_path):
+        # model_io imports neural, lstm and embeddings only to build or
+        # save a BiLSTM model
+        model, _, heldout_conll = trained_crf
+        code = (
+            "import sys\n"
+            "from raretag import cli\n"
+            "for argv in (sys.argv[1:5], sys.argv[5:]):\n"
+            "    assert cli.main(argv) == 0, argv[0]\n"
+            "    for name in ('neural', 'lstm', 'embeddings'):\n"
+            "        assert f'raretag.{name}' not in sys.modules, (argv[0], name)\n"
+        )
+        proc = self.run_fresh(
+            code, ["predict", model, heldout_conll, tmp_path / "pred.conll",
+                   "evaluate", model, heldout_conll])
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "pred.conll").is_file()
 

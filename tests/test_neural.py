@@ -143,6 +143,16 @@ class TestLoss:
             err = max_relative_error(grads[name], fd)
             assert err < 1e-3, f"{name}: {err}"
 
+    def test_crf_loss_is_the_nll_of_the_gradient_path(self):
+        # the validation loss runs the forward recursion alone, and gives
+        # the NLL that chain.nll_and_gradients computes, bit for bit
+        corpus = toy_corpus(seed=72, size=45)
+        assert len(corpus) > chain.PASS_SENTENCES
+        tagger, _ = small_tagger(HEAD_CRF, seed=72, hidden=4, dim=5,
+                                 corpus=corpus)
+        tagger.transitions[:] = np.random.default_rng(72).normal(size=(9, 9))
+        assert loss(tagger, corpus) == loss_and_gradients(tagger, corpus)[0]
+
 
 class TestPackedPasses:
     @pytest.mark.parametrize("head_kind", [HEAD_SOFTMAX, HEAD_CRF])

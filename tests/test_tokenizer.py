@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -172,6 +173,12 @@ class TestSentenceInvariants:
         t2 = Token("b", 1, 2, "b", "X")
         with pytest.raises(ValueError):
             Sentence([t1, t2])
+
+    def test_token_is_a_frozen_slotted_record(self):
+        token = Token("ab", 0, 2, "ab", "X")
+        assert not hasattr(token, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            token.start = 1
 
     def test_empty_surfaces_rejected(self):
         with pytest.raises(ValueError):
