@@ -288,6 +288,8 @@ def cmd_train(args) -> int:
             "stopped_epoch": history.stopped_epoch,
             "best_val_loss": min(history.val_loss) if history.val_loss else None,
             "embedding_oov_rate": source.oov_rate(),
+            "max_gradient_norm": history.max_gradient_norm,
+            "clipped_batches": history.clipped_batches,
         }
 
     model_out = Path(cfg["model_out"])

@@ -5,8 +5,11 @@ line each, with or without a leading ``count dim`` header). The word2vec
 binary format is intentionally unsupported; convert externally. Out-of-
 vocabulary lookups follow the table's policy: zeros, a per-word seeded
 random vector (cached, so repeats are identical), or the mean vector.
+Random vectors are drawn from ``rng.Pcg64``, the stream of
+``numpy.random.default_rng``, without importing ``numpy.random``.
 ``hashlib`` maps OpenSSL's libcrypto (about 3 MB resident), so it is
-imported in ``_word_rng``, its one user: CRF commands hash no word.
+imported in ``_word_rng``, its one user: only an out-of-vocabulary word
+under ``random_seeded`` is hashed.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import rng
 from .atomic import read_utf8
 
 OOV_POLICIES = ("zeros", "random_seeded", "mean_vector")
@@ -28,12 +32,12 @@ class EmbeddingParseError(ValueError):
     pass
 
 
-def _word_rng(seed: int, word: str) -> np.random.Generator:
+def _word_rng(seed: int, word: str) -> rng.Pcg64:
     import hashlib  # see the module docstring
     digest = hashlib.blake2b(
         word.encode("utf-8"), digest_size=8, key=str(seed).encode()
     ).digest()
-    return np.random.default_rng(int.from_bytes(digest, "little"))
+    return rng.Pcg64(int.from_bytes(digest, "little"))
 
 
 @dataclass
@@ -70,8 +74,8 @@ class EmbeddingTable:
                 return np.zeros(self.dim)
             return self.matrix.mean(axis=0)
         if word not in self._oov_cache:
-            rng = _word_rng(self.seed, word)
-            self._oov_cache[word] = rng.uniform(-OOV_SCALE, OOV_SCALE, self.dim)
+            self._oov_cache[word] = _word_rng(self.seed, word).uniform(
+                -OOV_SCALE, OOV_SCALE, self.dim)
         return self._oov_cache[word]
 
     def row(self, word: str) -> int:
@@ -178,6 +182,5 @@ def random_table(
         if word in index:
             raise ValueError(f"duplicate word in vocabulary: {word!r}")
         index[word] = len(index)
-    rng = np.random.default_rng(seed)
-    matrix = rng.uniform(-OOV_SCALE, OOV_SCALE, (len(index), dim))
+    matrix = rng.Pcg64(seed).uniform(-OOV_SCALE, OOV_SCALE, (len(index), dim))
     return EmbeddingTable(dim, index, matrix, oov_policy, seed, origin="random")

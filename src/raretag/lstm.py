@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chain
+from .rng import Pcg64
 
 GATES = ("i", "f", "o", "g")
 
@@ -38,7 +39,10 @@ class LstmCell:
 
     @classmethod
     def create(cls, input_dim: int, hidden_dim: int,
-               rng: np.random.Generator) -> "LstmCell":
+               rng: Pcg64) -> "LstmCell":
+        """A cell with W and U drawn uniform(-0.1, 0.1) from ``rng`` (any
+        object with numpy's ``uniform(low, high, size)``), b zero but for
+        the forget gate's 1.0."""
         scale = 0.1
         W = rng.uniform(-scale, scale, (4 * hidden_dim, input_dim))
         U = rng.uniform(-scale, scale, (4 * hidden_dim, hidden_dim))

@@ -7,8 +7,11 @@ gather, one recurrence per direction and one head per pass; tagging
 decodes each pass with one Viterbi call. Training is Adam with bias
 correction, global-norm gradient clipping and patience-based early
 stopping on the validation loss, which on the CRF head runs the forward
-recursion only (``chain.log_partition``); given a fixed seed a run is
-fully deterministic.
+recursion only (``chain.log_partition``); ``FitHistory`` records the
+largest pre-clip gradient norm and the number of clipped batches. Initial
+weights and each epoch's shuffle come from ``rng.Pcg64`` (the stream of
+``numpy.random.default_rng``), so given a fixed seed a run is fully
+deterministic.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import chain
+from . import chain, rng
 from .crf import decode, require_finite
 from .embeddings import EmbeddingTable
 from .iob import TAGS, TaggedSentence
@@ -49,6 +52,8 @@ class FitConfig:
         require_finite(self)
         if self.learning_rate < 0 or self.max_epochs < 0:
             raise ValueError("learning_rate and max_epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if min(self.patience, self.batch_size, self.hidden_dim) < 1:
             raise ValueError("patience, batch_size, hidden_dim must be >= 1")
         if self.gradient_clip_norm <= 0:
@@ -146,12 +151,12 @@ def build_tagger(
     )
     if train_embeddings is None:
         train_embeddings = source_table.origin == "random"
-    rng = np.random.default_rng(seed)
+    draws = rng.Pcg64(seed)
     labels = list(TAGS)
     L = len(labels)
-    fw = LstmCell.create(source_table.dim, hidden_dim, rng)
-    bw = LstmCell.create(source_table.dim, hidden_dim, rng)
-    head_W = rng.uniform(-0.1, 0.1, (L, 2 * hidden_dim))
+    fw = LstmCell.create(source_table.dim, hidden_dim, draws)
+    bw = LstmCell.create(source_table.dim, hidden_dim, draws)
+    head_W = draws.uniform(-0.1, 0.1, (L, 2 * hidden_dim))
     head_b = np.zeros(L)
     transitions = np.zeros((L, L)) if head_kind == HEAD_CRF else None
     return BiLstmTagger(
@@ -349,6 +354,8 @@ class FitHistory:
     val_loss: list[float] = field(default_factory=list)
     best_epoch: int = 0
     stopped_epoch: int = 0
+    max_gradient_norm: float = 0.0  # the largest pre-clip global norm
+    clipped_batches: int = 0  # batches whose norm exceeded the clip norm
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -380,13 +387,13 @@ def fit(
     params = tagger.parameters()
     optimizer = AdamOptimizer(params, config)
     stopper = EarlyStopping(config.patience)
-    rng = np.random.default_rng(config.seed)
+    draws = rng.Pcg64(config.seed)
     history = FitHistory()
     best_params = {k: v.copy() for k, v in params.items()}
 
-    order = np.arange(len(train))
+    order = list(range(len(train)))
     for epoch in range(1, config.max_epochs + 1):
-        rng.shuffle(order)
+        draws.shuffle(order)
         loss_sum = 0.0
         weight_sum = 0
         for start in range(0, len(order), config.batch_size):
@@ -397,7 +404,9 @@ def fit(
                 raise FloatingPointError(
                     f"epoch {epoch}, batch at index {start}: {err}"
                 ) from None
-            clip_gradients(grads, config.gradient_clip_norm)
+            norm = clip_gradients(grads, config.gradient_clip_norm)
+            history.max_gradient_norm = max(history.max_gradient_norm, norm)
+            history.clipped_batches += norm > config.gradient_clip_norm
             optimizer.step(grads)
             # weight by the batch's own denominator so the epoch loss is a
             # true dataset mean (and batch-partition invariant at lr=0)

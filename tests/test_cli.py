@@ -152,6 +152,16 @@ class TestConfig:
             assert err.startswith(f"error: {key} must be "), (key, value, err)
             assert err.count("\n") == 1
 
+    def test_negative_seed_is_named_before_any_file_is_read(self, tmp_path,
+                                                            capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("model_kind = bilstm-crf\nvalidation = v\n"
+                          f"embedding = random\ntrain = {tmp_path}/none.conll\n"
+                          f"model_out = {tmp_path}/never.model\nseed = -1\n")
+        assert run(["train", config]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_neural_requires_validation_and_embedding(self):
         with pytest.raises(CliError, match="validation"):
             validate_run_config({
@@ -415,6 +425,9 @@ class TestTrain:
         manifest = json.loads((tmp_path / "bl.model.manifest.json").read_text())
         assert manifest["metrics"]["stopped_epoch"] <= 3
         assert manifest["metrics"]["best_epoch"] >= 1
+        assert manifest["metrics"]["max_gradient_norm"] > 0
+        assert isinstance(manifest["metrics"]["clipped_batches"], int)
+        assert manifest["metrics"]["clipped_batches"] >= 0
 
     def test_line_search_failure_is_reported(self, trained_crf, tmp_path,
                                              monkeypatch, capsys):
@@ -877,6 +890,35 @@ class TestImports:
             code, ["train", config,
                    "predict", model, heldout_conll, tmp_path / "pred.conll",
                    "evaluate", model, heldout_conll])
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "pred.conll").is_file()
+
+    def test_bilstm_crf_commands_never_load_numpy_random(self, trained_crf,
+                                                         tmp_path):
+        # numpy.random loads nine extension modules and, through secrets,
+        # OpenSSL's libcrypto; rng.Pcg64 draws the same numbers without it.
+        # Every file is the training split, so that no word is out of the
+        # vocabulary: hashing one would load libcrypto through hashlib
+        _, train_conll, heldout_conll = trained_crf
+        model = tmp_path / "bl.model"
+        config = tmp_path / "bl.cfg"
+        config.write_text(
+            f"model_kind = bilstm-crf\ntrain = {train_conll}\n"
+            f"validation = {train_conll}\nembedding = random\n"
+            f"embedding_dim = 8\nhidden_dim = 5\nmax_epochs = 1\n"
+            f"seed = 2\nmodel_out = {model}\n")
+        code = (
+            "import sys\n"
+            "from raretag import cli\n"
+            "for argv in (sys.argv[1:3], sys.argv[3:7], sys.argv[7:]):\n"
+            "    assert cli.main(argv) == 0, argv[0]\n"
+            "    for name in ('numpy.random', 'secrets', '_hashlib'):\n"
+            "        assert name not in sys.modules, (argv[0], name)\n"
+        )
+        proc = self.run_fresh(
+            code, ["train", config,
+                   "predict", model, train_conll, tmp_path / "pred.conll",
+                   "evaluate", model, train_conll])
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "pred.conll").is_file()
 

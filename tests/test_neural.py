@@ -318,6 +318,27 @@ class TestFit:
         assert calls == list(zip(history.epochs, history.train_loss,
                                  history.val_loss))
 
+    @pytest.mark.parametrize("clip_norm, clipped", [(1e-6, 6), (1e6, 0)])
+    def test_history_counts_clipped_batches(self, clip_norm, clipped,
+                                            monkeypatch):
+        train_split = toy_corpus(seed=61, size=10)
+        val_split = toy_corpus(seed=62, size=4)
+        tagger, _ = small_tagger(HEAD_CRF, corpus=train_split)
+        norms = []
+
+        def recorded(grads, max_norm):
+            norms.append(clip_gradients(grads, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(neural, "clip_gradients", recorded)
+        config = FitConfig(learning_rate=0.01, max_epochs=2, batch_size=4,
+                           hidden_dim=3, gradient_clip_norm=clip_norm)
+        _, history = fit(tagger, train_split, val_split, config)
+        assert len(norms) == 2 * 3  # 10 sentences in batches of 4, 2 epochs
+        assert history.max_gradient_norm == max(norms)
+        assert 1e-6 < history.max_gradient_norm < 1e6
+        assert history.clipped_batches == clipped
+
     def test_gradient_clipping_bounds_global_norm(self):
         rng = np.random.default_rng(0)
         grads = {"a": rng.normal(0, 10, (5, 5)), "b": rng.normal(0, 10, 7)}
