@@ -2,14 +2,17 @@
 
 Training is configured by a flat ``key = value`` text file (``#`` starts a
 comment). Its training settings, and their defaults, are the fields of
-``crf.TrainConfig`` (``crf``) or of ``neural.FitConfig`` plus the embedding
+``crf.TrainConfig`` (``crf``) or of ``settings.FitConfig`` plus the embedding
 and history keys (``bilstm``, ``bilstm-crf``); keys that are unknown or that
 the chosen kind does not use are rejected before any work starts. All
 outputs are UTF-8. Models, manifests, histories and CoNLL files are written
 atomically; ``gen-synthetic`` writes its corpus files directly, not atomically.
 ``RARETAG_CONFIG_DIR`` provides a default directory for relative config
 paths. The numpy-backed modules are imported by the commands that use
-them, so ``convert`` and ``gen-synthetic`` start without numpy.
+them, so ``convert`` and ``gen-synthetic`` start without numpy, and CRF
+runs never load the BiLSTM code. ``predict`` and ``evaluate`` stream their
+CoNLL input: they read, tag and write (or score) one ``chain.PASS_SENTENCES``
+pass at a time, so they hold one pass of its tokens, not the whole file.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ import time
 from pathlib import Path
 
 from . import brat, conll, iob, metrics, synthetic
-from .atomic import atomic_write_text, read_utf8
+from .atomic import atomic_write_text, atomic_writer, read_utf8
 from .iob import TaggedSentence
+from .settings import FitConfig
 from .tokenizer import tokenize_document
 
 CONFIG_DIR_ENV = "RARETAG_CONFIG_DIR"
@@ -49,7 +53,7 @@ _COMMON_KEYS = {
     "manifest_out": str,
 }
 
-# neural settings that are not fields of neural.FitConfig
+# neural settings that are not fields of FitConfig
 _NEURAL_EXTRA_KEYS = {
     "embedding": str,
     "embedding_dim": int,
@@ -73,9 +77,11 @@ def _parse_bool(raw: str) -> bool:
 
 def _config_class(kind: str):
     """The dataclass whose fields are the training settings of ``kind``."""
-    from . import crf, neural
+    if kind != "crf":
+        return FitConfig
+    from .crf import TrainConfig
 
-    return crf.TrainConfig if kind == "crf" else neural.FitConfig
+    return TrainConfig
 
 
 def _kind_keys(kind: str) -> dict[str, type]:
@@ -149,16 +155,40 @@ def _resolve_config_path(path_arg: str) -> Path:
 
 # ---------------------------------------------------------------- helpers
 
-def _read_tagged_conll(path: str | Path, need_tags: bool = True):
-    content = read_utf8(path, conll.ConllParseError)
+def _read_passes(path: str | Path):
+    """The sentences of a CoNLL file, ``chain.PASS_SENTENCES`` at a time.
+
+    A fault is the one that reading the whole file first would report: an
+    undecodable byte anywhere in the file before a malformed line.
+    """
+    from .chain import PASS_SENTENCES
+
     try:
-        items = conll.read_conll(content)
-    except conll.ConllParseError as err:  # it names the line, not the file
+        with Path(path).open(encoding="utf-8", newline="") as f:
+            # as str.splitlines splits the whole text
+            sentences = conll.iter_conll(
+                line for row in f for line in row.splitlines())
+            while items := conll.read_conll(sentences, PASS_SENTENCES):
+                yield items
+    except (UnicodeDecodeError, conll.ConllParseError) as err:
+        # an undecodable byte anywhere comes first, named by its offset in
+        # the file, not in the block being decoded
+        read_utf8(path, conll.ConllParseError)
         raise conll.ConllParseError(f"{path} {err}") from None
+
+
+def _check_tagged(tag_lists, path) -> None:
+    """``tag_lists`` holds None for each sentence without a tag column."""
+    missing = next((i for i, tags in enumerate(tag_lists) if tags is None),
+                   None)
+    if missing is not None:
+        raise CliError(f"{path}: sentence {missing} has no tag column")
+
+
+def _read_tagged_conll(path: str | Path, need_tags: bool = True):
+    items = [item for items in _read_passes(path) for item in items]
     if need_tags:
-        missing = [i for i, item in enumerate(items) if item.tags is None]
-        if missing:
-            raise CliError(f"{path}: sentence {missing[0]} has no tag column")
+        _check_tagged([item.tags for item in items], path)
     return items
 
 
@@ -166,10 +196,10 @@ def _tagged_sentences(items) -> list[TaggedSentence]:
     return [TaggedSentence(item.sentence.tokens, item.tags) for item in items]
 
 
-def _check_labels(items, label_set: list[str], path) -> None:
+def _check_labels(tag_lists, label_set: list[str], path) -> None:
     known = set(label_set)
     unknown = sorted({
-        t for item in items if item.tags for t in item.tags if t not in known
+        t for tags in tag_lists if tags for t in tags if t not in known
     })
     if unknown:
         raise CliError(
@@ -237,7 +267,7 @@ def _build_embedding_source(cfg: dict, train_sents, seed: int):
 
 
 def cmd_train(args) -> int:
-    from . import crf, model_io, neural
+    from . import crf, model_io
 
     config_path = _resolve_config_path(args.config)
     cfg = validate_run_config(parse_config(read_utf8(config_path, CliError)))
@@ -251,8 +281,9 @@ def cmd_train(args) -> int:
 
     train_items = _read_tagged_conll(cfg["train"])
     val_items = _read_tagged_conll(cfg["validation"]) if "validation" in cfg else []
-    _check_labels(train_items, iob.TAGS, cfg["train"])
-    _check_labels(val_items, iob.TAGS, cfg.get("validation"))
+    _check_labels([item.tags for item in train_items], iob.TAGS, cfg["train"])
+    _check_labels([item.tags for item in val_items], iob.TAGS,
+                  cfg.get("validation"))
     train_sents = _tagged_sentences(train_items)
     val_sents = _tagged_sentences(val_items)
     started = time.monotonic()
@@ -271,6 +302,8 @@ def cmd_train(args) -> int:
             "objective_trace": opt.trace,
         }
     else:
+        from . import neural
+
         source = _build_embedding_source(cfg, train_sents, settings.seed)
         head = neural.HEAD_CRF if kind == "bilstm-crf" else neural.HEAD_SOFTMAX
         tagger = neural.build_tagger(
@@ -317,14 +350,20 @@ def cmd_predict(args) -> int:
     from . import model_io
 
     model = model_io.load_model(args.model)
-    items = _read_tagged_conll(args.in_conll, need_tags=False)
-    preds = model.tag([item.sentence for item in items], args.constrained)
-    out_items = [
-        conll.ConllSentence(item.doc_id, item.sentence, tags)
-        for item, tags in zip(items, preds)
-    ]
-    atomic_write_text(args.out_conll, conll.write_conll(out_items))
-    print(f"tagged {len(out_items)} sentences -> {args.out_conll}")
+    count = 0
+    last = None  # the sentence written last
+    with atomic_writer(args.out_conll) as write:
+        for items in _read_passes(args.in_conll):
+            preds = model.tag([item.sentence for item in items],
+                              args.constrained)
+            out_items = [
+                conll.ConllSentence(item.doc_id, item.sentence, tags)
+                for item, tags in zip(items, preds)
+            ]
+            write(conll.write_conll(out_items, last).encode("utf-8"))
+            last = out_items[-1]
+            count += len(out_items)
+    print(f"tagged {count} sentences -> {args.out_conll}")
     return EXIT_OK
 
 
@@ -351,11 +390,12 @@ def cmd_evaluate(args) -> int:
 
     thresholds = _parse_min_flags(args.min or [])
     model = model_io.load_model(args.model)
-    items = _read_tagged_conll(args.conll)
-    label_set = model.label_set
-    _check_labels(items, label_set, args.conll)
-    gold = [item.tags for item in items]
-    preds = model.tag([item.sentence for item in items], args.constrained)
+    gold, preds = [], []
+    for items in _read_passes(args.conll):
+        gold += [item.tags for item in items]
+        preds += model.tag([item.sentence for item in items], args.constrained)
+    _check_tagged(gold, args.conll)
+    _check_labels(gold, model.label_set, args.conll)
     if args.level == "token":
         report = metrics.token_level(gold, preds)
     else:

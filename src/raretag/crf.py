@@ -15,9 +15,7 @@ feature names are the reference that the tests check the keys against.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,15 +26,8 @@ from .features import (  # noqa: F401 (sentence_features is traced here)
     value_ids, window_keys,
 )
 from .iob import TaggedSentence
+from .settings import require_finite
 from .tokenizer import Sentence
-
-
-def require_finite(config) -> None:
-    """Reject a settings dataclass with a nan or infinite field."""
-    for setting in dataclasses.fields(config):
-        value = getattr(config, setting.name)
-        if not math.isfinite(value):
-            raise ValueError(f"{setting.name} must be finite, got {value}")
 
 
 @dataclass

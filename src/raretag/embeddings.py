@@ -6,10 +6,11 @@ binary format is intentionally unsupported; convert externally. Out-of-
 vocabulary lookups follow the table's policy: zeros, a per-word seeded
 random vector (cached, so repeats are identical), or the mean vector.
 Random vectors are drawn from ``rng.Pcg64``, the stream of
-``numpy.random.default_rng``, without importing ``numpy.random``.
-``hashlib`` maps OpenSSL's libcrypto (about 3 MB resident), so it is
-imported in ``_word_rng``, its one user: only an out-of-vocabulary word
-under ``random_seeded`` is hashed.
+``numpy.random.default_rng``, without importing ``numpy.random``. An
+out-of-vocabulary word under ``random_seeded`` seeds its stream with a
+keyed ``blake2b`` of the word, taken from CPython's builtin ``_blake2``
+module: ``hashlib`` would map OpenSSL's libcrypto (about 3.5 MB resident)
+for the same function, so it is imported only where ``_blake2`` is missing.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ import numpy as np
 from . import rng
 from .atomic import read_utf8
 
+try:
+    from _blake2 import blake2b  # hashlib.blake2b, without libcrypto
+except ImportError:  # pragma: no cover - a CPython built without it
+    from hashlib import blake2b
+
 OOV_POLICIES = ("zeros", "random_seeded", "mean_vector")
 DEFAULT_OOV_POLICY = "random_seeded"
 
@@ -33,8 +39,7 @@ class EmbeddingParseError(ValueError):
 
 
 def _word_rng(seed: int, word: str) -> rng.Pcg64:
-    import hashlib  # see the module docstring
-    digest = hashlib.blake2b(
+    digest = blake2b(
         word.encode("utf-8"), digest_size=8, key=str(seed).encode()
     ).digest()
     return rng.Pcg64(int.from_bytes(digest, "little"))

@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chain, rng
-from .crf import decode, require_finite
+from .crf import decode
 from .embeddings import EmbeddingTable
 from .iob import TAGS, TaggedSentence
 from .lstm import LstmCell, backprop_sequence, run_sequence
+from .settings import FitConfig
 from .tokenizer import Sentence, Token
 
 HEAD_SOFTMAX = "softmax"
@@ -36,28 +37,6 @@ HEAD_CRF = "crf"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-
-
-@dataclass
-class FitConfig:
-    learning_rate: float = 0.001
-    max_epochs: int = 50
-    patience: int = 4
-    batch_size: int = 32
-    hidden_dim: int = 100
-    seed: int = 0
-    gradient_clip_norm: float = 5.0
-
-    def __post_init__(self):
-        require_finite(self)
-        if self.learning_rate < 0 or self.max_epochs < 0:
-            raise ValueError("learning_rate and max_epochs must be >= 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if min(self.patience, self.batch_size, self.hidden_dim) < 1:
-            raise ValueError("patience, batch_size, hidden_dim must be >= 1")
-        if self.gradient_clip_norm <= 0:
-            raise ValueError("gradient_clip_norm must be positive")
 
 
 @dataclass

@@ -1,0 +1,42 @@
+"""Neural training settings, free of numpy so that the CLI can read a
+config of any model kind without loading the BiLSTM code.
+
+``neural.FitConfig`` is this ``FitConfig``; the CRF's settings are
+``crf.TrainConfig``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+from dataclasses import dataclass
+
+
+def require_finite(config) -> None:
+    """Reject a settings dataclass with a nan or infinite field."""
+    for setting in dataclasses.fields(config):
+        value = getattr(config, setting.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{setting.name} must be finite, got {value}")
+
+
+@dataclass
+class FitConfig:
+    learning_rate: float = 0.001
+    max_epochs: int = 50
+    patience: int = 4
+    batch_size: int = 32
+    hidden_dim: int = 100
+    seed: int = 0
+    gradient_clip_norm: float = 5.0
+
+    def __post_init__(self):
+        require_finite(self)
+        if self.learning_rate < 0 or self.max_epochs < 0:
+            raise ValueError("learning_rate and max_epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if min(self.patience, self.batch_size, self.hidden_dim) < 1:
+            raise ValueError("patience, batch_size, hidden_dim must be >= 1")
+        if self.gradient_clip_norm <= 0:
+            raise ValueError("gradient_clip_norm must be positive")

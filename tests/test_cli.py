@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from raretag import (
-    brat, chain, cli, conll, crf, embeddings, features, iob, model_io, neural,
-    synthetic,
+    brat, chain, cli, conll, crf, embeddings, features, iob, metrics, model_io,
+    neural, synthetic,
 )
 from raretag.cli import CliError, parse_config, validate_run_config
 from raretag.lbfgs import LineSearchError
@@ -843,6 +843,222 @@ class TestTagging:
         assert len(builds) <= 1
 
 
+@pytest.fixture(scope="module")
+def long_conll(trained_crf):
+    """Three copies of the training split: six passes, the first of which
+    ends inside a document."""
+    items = conll.read_conll(trained_crf[1].read_text() * 3)
+    P = chain.PASS_SENTENCES
+    assert len(items) > 3 * P
+    assert items[P - 1].doc_id == items[P].doc_id is not None
+    return items
+
+
+def _list_path(model_path, items, constrained):
+    """The sentences tagged all at once, as one list."""
+    preds = model_io.load_model(model_path).tag(
+        [item.sentence for item in items], constrained)
+    return [conll.ConllSentence(item.doc_id, item.sentence, tags)
+            for item, tags in zip(items, preds)]
+
+
+class TestStreaming:
+    """predict and evaluate read, tag and write one pass at a time, with the
+    outputs and the errors of reading the whole file first."""
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    @pytest.mark.parametrize("kind", ["crf", "bilstm-crf"])
+    def test_predict_is_byte_identical_to_the_list_path(
+            self, kind, constrained, trained_crf, trained_bilstm_crf,
+            long_conll, tmp_path):
+        model = trained_crf[0] if kind == "crf" else trained_bilstm_crf
+        source = tmp_path / "in.conll"
+        source.write_text(conll.write_conll(long_conll))
+        out = tmp_path / "out.conll"
+        flags = ["--constrained"] if constrained else []
+        assert run(["predict", model, source, out, *flags]) == 0
+        expected = conll.write_conll(_list_path(model, long_conll, constrained))
+        assert out.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("level", ["entity", "token"])
+    @pytest.mark.parametrize("kind", ["crf", "bilstm-crf"])
+    def test_evaluate_is_byte_identical_to_the_list_path(
+            self, kind, level, trained_crf, trained_bilstm_crf, long_conll,
+            tmp_path, capsys):
+        model = trained_crf[0] if kind == "crf" else trained_bilstm_crf
+        # a weak model, so that the report is not all ones
+        items = [conll.ConllSentence(item.doc_id, item.sentence,
+                                     ["O"] * len(item.tags) if i % 5 else item.tags)
+                 for i, item in enumerate(long_conll)]
+        gold = tmp_path / "gold.conll"
+        gold.write_text(conll.write_conll(items))
+        assert run(["evaluate", model, gold, "--level", level,
+                    "--format", "tsv"]) == 0
+        preds = [item.tags for item in _list_path(model, items, False)]
+        score = metrics.entity_level if level == "entity" else metrics.token_level
+        report = score([item.tags for item in items], preds)
+        assert capsys.readouterr().out == metrics.report_render(report, "tsv")
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_passes_run_through_the_traced_names(self, command, trained_crf,
+                                                 long_conll, tmp_path,
+                                                 monkeypatch):
+        # perfbench/trace_stage.py times conll.read and conll.write, and
+        # counts the bytes of each string that write_conll returns
+        source = tmp_path / "in.conll"
+        source.write_text(conll.write_conll(long_conll))
+        reads, written = [], []
+        read_conll, write_conll = conll.read_conll, conll.write_conll
+
+        def counted_read(*args):
+            reads.append(read_conll(*args))
+            return reads[-1]
+
+        def counted_write(*args):
+            written.append(write_conll(*args))
+            return written[-1]
+
+        monkeypatch.setattr(conll, "read_conll", counted_read)
+        monkeypatch.setattr(conll, "write_conll", counted_write)
+        argv = [command, trained_crf[0], source]
+        if command == "predict":
+            argv.append(tmp_path / "out.conll")
+        assert run(argv) == 0
+        passes = math.ceil(len(long_conll) / chain.PASS_SENTENCES)
+        assert [len(part) for part in reads] == [
+            len(part) for part in chain.passes(long_conll)] + [0]
+        if command == "predict":
+            assert len(written) == passes
+            assert "".join(written) == (tmp_path / "out.conll").read_text()
+
+    @staticmethod
+    def _fails(argv, tmp_path, capsys):
+        """The error line of a command that must fail and write nothing."""
+        before = sorted(tmp_path.iterdir())
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert sorted(tmp_path.iterdir()) == before  # no output, no temp file
+        assert out == ""
+        return err
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_a_late_malformed_line_is_named_from_the_top(
+            self, command, trained_crf, long_conll, tmp_path, capsys):
+        lines = conll.write_conll(long_conll).splitlines()
+        lineno = len(lines) - 3
+        assert lines[lineno - 1].count("\t") == 3  # a token row in the last pass
+        lines[lineno - 1] = "bad\tline"
+        source = tmp_path / "in.conll"
+        source.write_text("\n".join(lines) + "\n")
+        argv = [command, trained_crf[0], source]
+        if command == "predict":
+            argv.append(tmp_path / "out.conll")
+        assert self._fails(argv, tmp_path, capsys) == (
+            f"error: {source} line {lineno}: expected 3 or 4 tab-separated "
+            "columns, got 2\n")
+
+    def test_tag_faults_are_named_over_the_whole_file(
+            self, trained_crf, long_conll, tmp_path, capsys):
+        model = trained_crf[0]
+        gold = tmp_path / "gold.conll"
+        P = chain.PASS_SENTENCES
+
+        def write(untagged=(), first_tags={}):
+            """The corpus without the tag column of the ``untagged``
+            sentences, and with the first tag of others replaced."""
+            items = [conll.ConllSentence(i.doc_id, i.sentence, list(i.tags))
+                     for i in long_conll]
+            for index in untagged:
+                items[index].tags = None
+            for index, tag in first_tags.items():
+                items[index].tags[0] = tag
+            gold.write_text(conll.write_conll(items))
+
+        write(untagged=[3 * P + 5, 4 * P + 1])
+        assert self._fails(["evaluate", model, gold], tmp_path, capsys) == (
+            f"error: {gold}: sentence {3 * P + 5} has no tag column\n")
+        write(first_tags={3: "B-ZETA", 5 * P: "B-ALPHA", 5 * P + 1: "B-ZETA"})
+        assert self._fails(["evaluate", model, gold], tmp_path, capsys) == (
+            f"error: {gold}: tags not in the model's label set: B-ALPHA, "
+            "B-ZETA\n")
+        # of several faults, the one that reading the whole file first finds
+        write(untagged=[4 * P], first_tags={3: "B-ZETA"})
+        assert self._fails(["evaluate", model, gold], tmp_path, capsys) == (
+            f"error: {gold}: sentence {4 * P} has no tag column\n")
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_of_several_faults_the_whole_file_one_is_named(
+            self, command, trained_crf, long_conll, tmp_path, capsys):
+        model = trained_crf[0]
+        source = tmp_path / "in.conll"
+        argv = [command, model, source]
+        if command == "predict":
+            argv.append(tmp_path / "out.conll")
+        items = [conll.ConllSentence(i.doc_id, i.sentence, list(i.tags))
+                 for i in long_conll]
+        items[2].tags = None
+        items[3].tags[0] = "B-ZETA"
+        lines = conll.write_conll(items).splitlines()
+        lineno = len(lines) - 3
+        lines[lineno - 1] = "bad"
+        # a malformed line comes before every tag fault
+        source.write_text("\n".join(lines) + "\n")
+        assert self._fails(argv, tmp_path, capsys) == (
+            f"error: {source} line {lineno}: expected 3 or 4 tab-separated "
+            "columns, got 1\n")
+        # and an undecodable byte anywhere before a malformed line, named by
+        # its offset in the file
+        lines[10] = "bad"
+        last_row = b"\xffx\tx\tX\tO\n"
+        data = ("\n".join(lines) + "\n").encode() + last_row
+        source.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as decoding:
+            data.decode("utf-8")
+        assert f"position {len(data) - len(last_row)}:" in str(decoding.value)
+        assert self._fails(argv, tmp_path, capsys) == (
+            f"error: {source}: {decoding.value}\n")
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_an_unreadable_input_is_named(self, command, trained_crf,
+                                          tmp_path, capsys, monkeypatch):
+        model, train_conll, _ = trained_crf
+        source = tmp_path / "in.conll"
+        source.write_text(train_conll.read_text())
+        path_open = Path.open
+
+        def open_or_deny(path, *args, **kwargs):
+            if path == source:  # the model is read as it was
+                raise PermissionError(13, "Permission denied", str(path))
+            return path_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", open_or_deny)
+        argv = [command, model, source]
+        if command == "predict":
+            argv.append(tmp_path / "out.conll")
+        assert self._fails(argv, tmp_path, capsys) == (
+            f"error: [Errno 13] Permission denied: '{source}'\n")
+
+    def test_predict_memory_is_bounded_by_the_pass(self, trained_crf,
+                                                   tmp_path):
+        import tracemalloc
+
+        model, train_conll, _ = trained_crf
+        text = train_conll.read_text()
+        out = tmp_path / "out.conll"
+        peaks = {}
+        for copies in (1, 10, 1):
+            source = tmp_path / f"x{copies}.conll"
+            source.write_text(text * copies)
+            tracemalloc.start()
+            try:
+                assert run(["predict", model, source, out]) == 0
+                peaks[copies] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the first run imports and caches; the last one is the baseline
+        assert peaks[10] <= 1.5 * peaks[1], peaks
+
+
 class TestImports:
     @staticmethod
     def run_fresh(code, argv, timeout=120):
@@ -897,8 +1113,9 @@ class TestImports:
                                                          tmp_path):
         # numpy.random loads nine extension modules and, through secrets,
         # OpenSSL's libcrypto; rng.Pcg64 draws the same numbers without it.
-        # Every file is the training split, so that no word is out of the
-        # vocabulary: hashing one would load libcrypto through hashlib
+        # The training files hold every word; the last predict and evaluate
+        # read one out of the vocabulary, whose vector is seeded by a
+        # blake2b hash, which hashlib would take from libcrypto too
         _, train_conll, heldout_conll = trained_crf
         model = tmp_path / "bl.model"
         config = tmp_path / "bl.cfg"
@@ -907,10 +1124,13 @@ class TestImports:
             f"validation = {train_conll}\nembedding = random\n"
             f"embedding_dim = 8\nhidden_dim = 5\nmax_epochs = 1\n"
             f"seed = 2\nmodel_out = {model}\n")
+        oov = tmp_path / "oov.conll"
+        oov.write_text("Zyxqwv\tzyxqwv\tX\tO\nhas\thas\tX\tO\n")
         code = (
             "import sys\n"
             "from raretag import cli\n"
-            "for argv in (sys.argv[1:3], sys.argv[3:7], sys.argv[7:]):\n"
+            "for argv in (sys.argv[1:3], sys.argv[3:7], sys.argv[7:10],\n"
+            "             sys.argv[10:14], sys.argv[14:]):\n"
             "    assert cli.main(argv) == 0, argv[0]\n"
             "    for name in ('numpy.random', 'secrets', '_hashlib'):\n"
             "        assert name not in sys.modules, (argv[0], name)\n"
@@ -918,9 +1138,33 @@ class TestImports:
         proc = self.run_fresh(
             code, ["train", config,
                    "predict", model, train_conll, tmp_path / "pred.conll",
-                   "evaluate", model, train_conll])
+                   "evaluate", model, train_conll,
+                   "predict", model, oov, tmp_path / "oov-pred.conll",
+                   "evaluate", model, oov])
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "pred.conll").is_file()
+        assert (tmp_path / "oov-pred.conll").is_file()
+        tagger = model_io.load_model(model)
+        assert "Zyxqwv" not in tagger.embedding.vocab
+        assert tagger.embedding.oov_policy == "random_seeded"
+
+    def test_crf_train_never_loads_bilstm_code(self, trained_crf, tmp_path):
+        # the config schema's neural fields come from settings, not neural
+        _, train_conll, _ = trained_crf
+        config = tmp_path / "crf.cfg"
+        config.write_text(f"model_kind = crf\ntrain = {train_conll}\n"
+                          f"model_out = {tmp_path / 'crf.model'}\n"
+                          f"max_iterations = 2\n")
+        code = (
+            "import sys\n"
+            "from raretag import cli\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "for name in ('neural', 'lstm', 'embeddings', 'rng'):\n"
+            "    assert f'raretag.{name}' not in sys.modules, name\n"
+        )
+        proc = self.run_fresh(code, ["train", config])
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "crf.model").is_file()
 
     def test_crf_predict_and_evaluate_never_load_bilstm_code(self, trained_crf,
                                                              tmp_path):
@@ -1087,8 +1331,9 @@ class TestOsErrors:
                 "predict": ["predict", model, conll_path, tmp_path / "o"],
                 "dump": ["dump", model],
                 "train": ["train", config]}[command]
-        # every reader goes through one of these; the tests run as root,
-        # which file modes do not stop
+        # every whole-file reader goes through one of these (the CoNLL input
+        # streams through Path.open, see TestStreaming); the tests run as
+        # root, which file modes do not stop
         monkeypatch.setattr(Path, "read_bytes", denied)
         monkeypatch.setattr(Path, "read_text", denied)
         assert run(argv) == 1

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from raretag.embeddings import (
+    OOV_SCALE,
     EmbeddingParseError,
     EmbeddingTable,
     load_text_format,
     random_table,
     save_text_format,
 )
+from raretag.rng import Pcg64
 
 
 def write(tmp_path, content, name="vectors.txt"):
@@ -98,6 +100,18 @@ class TestLookup:
         # a fresh table with the same seed draws the same vector
         other = self.table("random_seeded")
         assert np.array_equal(other.lookup("bird"), first)
+
+    def test_random_seeded_vectors_are_seeded_by_hashlib_blake2b(self):
+        # the builtin blake2b that embeddings uses is hashlib's
+        import hashlib
+
+        table = self.table("random_seeded")
+        for word in ("bird", "ünïcode", ""):
+            digest = hashlib.blake2b(word.encode(), digest_size=8,
+                                     key=b"3").digest()
+            expected = Pcg64(int.from_bytes(digest, "little")).uniform(
+                -OOV_SCALE, OOV_SCALE, 2)
+            assert table.lookup(word).tobytes() == expected.tobytes()
 
     def test_different_words_get_different_vectors(self):
         table = self.table("random_seeded")

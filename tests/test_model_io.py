@@ -8,6 +8,7 @@ import pytest
 
 from toy import make_tagged, toy_corpus
 from raretag import cli, crf, model_io, neural
+from raretag.atomic import atomic_writer
 from raretag.conll import ConllSentence, write_conll
 from raretag.crf import TrainConfig
 from raretag.embeddings import random_table
@@ -245,6 +246,30 @@ class TestFormat:
         assert errors == []
         assert path.read_bytes() in payloads
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_pieces_replace_the_target_together(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old")
+        with atomic_writer(path) as write:
+            write(b"one ")
+            write(b"two")
+            assert path.read_bytes() == b"old"
+        assert path.read_bytes() == b"one two"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_an_error_while_writing_pieces_leaves_the_target(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old")
+        # an error of the caller's own, an OSError too, passes through as it is
+        for err in (ValueError("bad input line"),
+                    FileNotFoundError(2, "No such file", "in.conll")):
+            with pytest.raises(type(err)) as raised:
+                with atomic_writer(path) as write:
+                    write(b"partial")
+                    raise err
+            assert raised.value is err
+            assert path.read_bytes() == b"old"
+            assert list(tmp_path.iterdir()) == [path]
 
     def test_dump_text_is_lossless(self, tmp_path):
         model, _ = trained_crf()

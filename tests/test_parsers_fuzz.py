@@ -12,7 +12,8 @@ write and a second read unchanged.
 import numpy as np
 import pytest
 
-from raretag import cli, conll
+from raretag import chain, cli, conll
+from raretag.atomic import read_utf8
 from raretag.brat import (
     BratIntegrityError,
     BratParseError,
@@ -183,6 +184,39 @@ def test_conll_files(tmp_path):
         path.write_bytes(data)
         outcome(lambda: cli._read_tagged_conll(path, need_tags=False),
                 conll.ConllParseError, data)
+
+
+def test_conll_files_read_in_passes_as_a_whole_read(tmp_path):
+    # the streamed reader gives the sentences, or the error, of decoding
+    # the whole file and then parsing it
+    def whole(path):
+        text = read_utf8(path, conll.ConllParseError)
+        try:
+            return conll.read_conll(text)
+        except conll.ConllParseError as err:
+            raise conll.ConllParseError(f"{path} {err}") from None
+
+    def passes(path):
+        parts = list(cli._read_passes(path))
+        assert all(len(p) == chain.PASS_SENTENCES for p in parts[:-1])
+        return [item for part in parts for item in part]
+
+    def result(read, path):
+        try:
+            return read(path)
+        except conll.ConllParseError as err:
+            return str(err)
+
+    rng = np.random.default_rng(107)
+    path = tmp_path / "in.conll"
+    long_files = 0
+    for _ in range(150):
+        text = "\n".join(conll_case(rng) for _ in range(rng.integers(1, 16)))
+        path.write_bytes(with_bad_byte(rng, text))
+        expected = result(whole, path)
+        assert result(passes, path) == expected
+        long_files += len(expected) > chain.PASS_SENTENCES
+    assert long_files > 10
 
 
 def test_embedding_files(tmp_path):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from raretag import tokenizer
-from raretag.conll import ConllParseError, ConllSentence, read_conll, write_conll
+from raretag.conll import (
+    ConllParseError, ConllSentence, iter_conll, read_conll, write_conll,
+)
 from raretag.tokenizer import (
     Sentence,
     Token,
@@ -224,6 +226,32 @@ class TestConll:
         assert [t.surface for t in again[0].sentence.tokens] == \
             [t.surface for t in items[0].sentence.tokens]
         assert again[0].doc_id == "d1"
+
+    PASSES = ("# doc_id = d1\na\ta\tX\tO\n\nb\tb\tX\tB-SIGN\n\n"
+              "# doc_id = d2\nc\tc\tX\tO\nd\td\tX\tO\n\n"
+              "# doc_id =\ne\te\tX\n\nf\tf\tX\n")
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5])
+    def test_passes_read_and_write_as_the_whole_text(self, size):
+        whole = read_conll(self.PASSES)
+        stream = iter_conll(self.PASSES.splitlines())
+        passes = []
+        while part := read_conll(stream, size):
+            passes.append(part)
+        assert [len(p) for p in passes[:-1]] == [size] * (len(passes) - 1)
+        assert [item for part in passes for item in part] == whole
+        pieces, last = [], None
+        for part in passes:
+            pieces.append(write_conll(part, last))
+            last = part[-1]
+        assert "".join(pieces) == write_conll(whole)
+        assert write_conll([], last) == ""
+
+    def test_a_late_error_names_the_line_from_the_top(self):
+        stream = iter_conll((self.PASSES + "\ng\tg\n").splitlines())
+        assert len(read_conll(stream, 5)) == 5
+        with pytest.raises(ConllParseError, match="^line 15: "):
+            read_conll(stream, 5)
 
     def test_untagged_round_trip(self):
         items = [ConllSentence(None, Sentence([Token("a", 0, 1, "a", "X")]), None)]
