@@ -1,12 +1,14 @@
 """File I/O, free of numpy so that every command can use it.
 
 Writes are durable and atomic: data goes to a unique temp file in the
-target directory, is flushed to disk and renamed over the target, so a
-failed write never leaves a partial file behind and concurrent writers
-never share a temp file. ``atomic_writer`` takes the data in pieces, so a
-caller can stream a file it never holds whole; a failure while the pieces
-are made leaves the target as it was, too. Reads decode UTF-8 and report
-a file that is not UTF-8 as the reader's own named error.
+target directory, is flushed to disk and renamed over the target, and the
+directory is flushed after the rename, so a failed write never leaves a
+partial file behind, a crash after it cannot lose the rename, and
+concurrent writers never share a temp file. ``atomic_writer`` takes the
+data in pieces, so a caller can stream a file it never holds whole; a
+failure while the pieces are made leaves the target as it was, too.
+Reads decode UTF-8 and report a file that is not UTF-8 as the reader's
+own named error.
 """
 
 from __future__ import annotations
@@ -56,6 +58,12 @@ def atomic_writer(path: str | Path) -> Iterator[Callable[[bytes], None]]:
     except BaseException:
         os.unlink(tmp)
         raise
+    with _named(path):  # the rename is durable once its directory is
+        directory = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:

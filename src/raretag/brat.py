@@ -11,11 +11,11 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from operator import itemgetter
 from pathlib import Path
 
 from .atomic import read_utf8
+from .iob import EntityType  # stated in iob, so that TAGS needs no brat
 
 
 class BratParseError(ValueError):
@@ -25,13 +25,6 @@ class BratParseError(ValueError):
 
 class BratIntegrityError(ValueError):
     """Surface text in the .ann file disagrees with the .txt content."""
-
-
-class EntityType(Enum):
-    DISEASE = "DISEASE"
-    RAREDISEASE = "RAREDISEASE"
-    SIGN = "SIGN"
-    SYMPTOM = "SYMPTOM"
 
 
 @dataclass(frozen=True)

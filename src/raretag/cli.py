@@ -10,9 +10,13 @@ atomically; ``gen-synthetic`` writes its corpus files directly, not atomically.
 ``RARETAG_CONFIG_DIR`` provides a default directory for relative config
 paths. The numpy-backed modules are imported by the commands that use
 them, so ``convert`` and ``gen-synthetic`` start without numpy, and CRF
-runs never load the BiLSTM code. ``predict`` and ``evaluate`` stream their
-CoNLL input: they read, tag and write (or score) one ``chain.PASS_SENTENCES``
-pass at a time, so they hold one pass of its tokens, not the whole file.
+runs never load the BiLSTM code; ``brat``, ``synthetic`` and ``metrics``
+are imported only by the commands that use them. ``predict`` and
+``evaluate`` stream their CoNLL input: they read, tag and write (or score)
+one ``chain.PASS_SENTENCES`` pass at a time, so they hold one pass of its
+tokens, not the whole file. BiLSTM ``train`` streams its train and
+validation files the same way into one ``encoding.Encoded`` corpus each,
+word ids and label ids as int arrays, so the fit holds no token object.
 """
 
 from __future__ import annotations
@@ -26,11 +30,10 @@ import sys
 import time
 from pathlib import Path
 
-from . import brat, conll, iob, metrics, synthetic
+from . import conll, iob
 from .atomic import atomic_write_text, atomic_writer, read_utf8
 from .iob import TaggedSentence
 from .settings import FitConfig
-from .tokenizer import tokenize_document
 
 CONFIG_DIR_ENV = "RARETAG_CONFIG_DIR"
 
@@ -177,12 +180,16 @@ def _read_passes(path: str | Path):
         raise conll.ConllParseError(f"{path} {err}") from None
 
 
+def _no_tag_column(path, index: int) -> CliError:
+    return CliError(f"{path}: sentence {index} has no tag column")
+
+
 def _check_tagged(tag_lists, path) -> None:
     """``tag_lists`` holds None for each sentence without a tag column."""
     missing = next((i for i, tags in enumerate(tag_lists) if tags is None),
                    None)
     if missing is not None:
-        raise CliError(f"{path}: sentence {missing} has no tag column")
+        raise _no_tag_column(path, missing)
 
 
 def _read_tagged_conll(path: str | Path, need_tags: bool = True):
@@ -190,6 +197,26 @@ def _read_tagged_conll(path: str | Path, need_tags: bool = True):
     if need_tags:
         _check_tagged([item.tags for item in items], path)
     return items
+
+
+def _read_encoded_conll(encoder, path: str | Path):
+    """The tagged sentences of a CoNLL file, encoded pass by pass, and the
+    tags outside the encoder's label set; faults read as those of
+    ``_read_tagged_conll``, a missing tag column once the file is read."""
+    untagged = []  # the index of each sentence without a tag column
+
+    def sentences():
+        items = (item for items in _read_passes(path) for item in items)
+        for index, item in enumerate(items):
+            if item.tags is None:
+                untagged.append(index)
+            else:
+                yield [tok.surface for tok in item.sentence.tokens], item.tags
+
+    corpus, unknown = encoder.encode(sentences())
+    if untagged:
+        raise _no_tag_column(path, untagged[0])
+    return corpus, unknown
 
 
 def _tagged_sentences(items) -> list[TaggedSentence]:
@@ -210,6 +237,9 @@ def _check_labels(tag_lists, label_set: list[str], path) -> None:
 # ---------------------------------------------------------------- convert
 
 def cmd_convert(args) -> int:
+    from . import brat
+    from .tokenizer import tokenize_document
+
     corpus, unpaired = brat.load_corpus_dir(
         args.brat_dir,
         lenient=args.lenient,
@@ -247,15 +277,15 @@ def cmd_convert(args) -> int:
 
 # ---------------------------------------------------------------- train
 
-def _build_embedding_source(cfg: dict, train_sents, seed: int):
+def _build_embedding_source(cfg: dict, train, seed: int):
     from . import embeddings
 
     source = cfg["embedding"]
     policy = {"oov_policy": cfg["oov_policy"]} if "oov_policy" in cfg else {}
     if source == "random":
-        vocab = sorted({t.surface for ts in train_sents for t in ts.tokens})
         return embeddings.random_table(
-            vocab, cfg.get("embedding_dim", EMBEDDING_DIM), seed, **policy
+            train.vocabulary(), cfg.get("embedding_dim", EMBEDDING_DIM), seed,
+            **policy
         )
     if not Path(source).exists():
         raise CliError(f"embedding file not found: {source}")
@@ -279,19 +309,19 @@ def cmd_train(args) -> int:
         if key in cfg and not Path(cfg[key]).exists():
             raise CliError(f"{key} file not found: {cfg[key]}")
 
-    train_items = _read_tagged_conll(cfg["train"])
-    val_items = _read_tagged_conll(cfg["validation"]) if "validation" in cfg else []
-    _check_labels([item.tags for item in train_items], iob.TAGS, cfg["train"])
-    _check_labels([item.tags for item in val_items], iob.TAGS,
-                  cfg.get("validation"))
-    train_sents = _tagged_sentences(train_items)
-    val_sents = _tagged_sentences(val_items)
-    started = time.monotonic()
     history_csv = None
-
     if kind == "crf":
+        train_items = _read_tagged_conll(cfg["train"])
+        val_items = (_read_tagged_conll(cfg["validation"])
+                     if "validation" in cfg else [])
+        _check_labels([item.tags for item in train_items], iob.TAGS,
+                      cfg["train"])
+        _check_labels([item.tags for item in val_items], iob.TAGS,
+                      cfg.get("validation"))
+        started = time.monotonic()
         # default hyperparameters: train on train+validation together
-        model, opt = crf.train(train_sents + val_sents, settings)
+        model, opt = crf.train(_tagged_sentences(train_items + val_items),
+                               settings)
         final_metrics = {
             "objective": opt.fun,
             "iterations": opt.iterations,
@@ -303,18 +333,25 @@ def cmd_train(args) -> int:
         }
     else:
         from . import neural
+        from .encoding import Encoder
 
-        source = _build_embedding_source(cfg, train_sents, settings.seed)
+        encoder = Encoder(iob.TAGS)
+        train, train_unknown = _read_encoded_conll(encoder, cfg["train"])
+        val, val_unknown = _read_encoded_conll(encoder, cfg["validation"])
+        _check_labels([train_unknown], iob.TAGS, cfg["train"])
+        _check_labels([val_unknown], iob.TAGS, cfg["validation"])
+        started = time.monotonic()
+        source = _build_embedding_source(cfg, train, settings.seed)
         head = neural.HEAD_CRF if kind == "bilstm-crf" else neural.HEAD_SOFTMAX
         tagger = neural.build_tagger(
-            train_sents,
+            train,
             source,
             head_kind=head,
             hidden_dim=settings.hidden_dim,
             seed=settings.seed,
             train_embeddings=cfg.get("train_embeddings"),
         )
-        model, history = neural.fit(tagger, train_sents, val_sents, settings)
+        model, history = neural.fit(tagger, train, val, settings)
         history_csv = history.to_csv()
         final_metrics = {
             "best_epoch": history.best_epoch,
@@ -386,7 +423,7 @@ def _parse_min_flags(pairs: list[str]) -> dict[str, float]:
 
 
 def cmd_evaluate(args) -> int:
-    from . import model_io
+    from . import metrics, model_io
 
     thresholds = _parse_min_flags(args.min or [])
     model = model_io.load_model(args.model)
@@ -414,6 +451,8 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------- gen
 
 def cmd_gen_synthetic(args) -> int:
+    from . import synthetic
+
     config = synthetic.SyntheticConfig(
         seed=args.seed,
         size=args.size,

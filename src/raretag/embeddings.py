@@ -11,6 +11,12 @@ out-of-vocabulary word under ``random_seeded`` seeds its stream with a
 keyed ``blake2b`` of the word, taken from CPython's builtin ``_blake2``
 module: ``hashlib`` would map OpenSSL's libcrypto (about 3.5 MB resident)
 for the same function, so it is imported only where ``_blake2`` is missing.
+
+``oov_rate`` is the share of looked-up tokens that missed: ``row`` counts
+each call as one token, or as the ``count`` tokens of a word that its
+caller looks up once for all of them. Tagging counts each token it tags;
+``neural.fit`` counts each token of its training and validation splits
+once per fit, not once per epoch, so the rate is the split's own.
 """
 
 from __future__ import annotations
@@ -83,13 +89,14 @@ class EmbeddingTable:
                 -OOV_SCALE, OOV_SCALE, self.dim)
         return self._oov_cache[word]
 
-    def row(self, word: str) -> int:
+    def row(self, word: str, count: int = 1) -> int:
         """Matrix row of a word: exact match, then lowercase; -1 when the
-        word is out of vocabulary. Counts toward ``oov_rate``."""
-        self._lookups += 1
+        word is out of vocabulary. Counts as ``count`` token lookups toward
+        ``oov_rate``."""
+        self._lookups += count
         row = self.vocab.get(word, self.vocab.get(word.lower(), -1))
         if row < 0:
-            self._misses += 1
+            self._misses += count
         return row
 
     def lookup(self, word: str) -> np.ndarray:

@@ -10,17 +10,33 @@ the gap: decoding such a sequence yields one span per contiguous run.
 ``continues(prev, tag)`` is the one IOB2 rule: an I-X tag must follow a B-X
 or I-X tag. ``validate`` reports where it fails, ``decode`` opens a new
 span there, and ``decode_masks`` hands it to the constrained decoder.
+
+The four entity types are stated here, as ``EntityType``, and ``brat``
+re-exports them, so that a command that reads no Brat file can build
+``TAGS`` without importing the Brat parser.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from enum import Enum
+from typing import TYPE_CHECKING
 
-from .brat import EntityAnnotation, EntityType
 from .tokenizer import Sentence, Token
 
+if TYPE_CHECKING:
+    from .brat import EntityAnnotation
+
 OUTSIDE = "O"
+
+
+class EntityType(Enum):
+    DISEASE = "DISEASE"
+    RAREDISEASE = "RAREDISEASE"
+    SIGN = "SIGN"
+    SYMPTOM = "SYMPTOM"
+
 
 TAGS: list[str] = [OUTSIDE] + [
     f"{prefix}-{etype.value}" for etype in EntityType for prefix in ("B", "I")

@@ -4,14 +4,21 @@ Everything runs in float64 on the CPU, exact enough for finite-difference
 gradient checks. Losses and tagging run ``chain.PASS_SENTENCES`` sentences
 per pass in ``chain``'s packed layout (no padding), with one embedding
 gather, one recurrence per direction and one head per pass; tagging
-decodes each pass with one Viterbi call. Training is Adam with bias
-correction, global-norm gradient clipping and patience-based early
-stopping on the validation loss, which on the CRF head runs the forward
-recursion only (``chain.log_partition``); ``FitHistory`` records the
-largest pre-clip gradient norm and the number of clipped batches. Initial
-weights and each epoch's shuffle come from ``rng.Pcg64`` (the stream of
-``numpy.random.default_rng``), so given a fixed seed a run is fully
-deterministic.
+decodes each pass with one Viterbi call.
+
+The losses, ``build_tagger`` and ``fit`` run on an ``encoding.Encoded``
+corpus: each token's id into one interned word list and its label id, as
+int arrays (``TaggedSentence`` lists are encoded on entry). A corpus is
+mapped onto a tagger's embedding rows once, counting each token once
+toward the table's ``oov_rate``; ``fit`` does it once per fit and its
+batches carry the rows, so no epoch looks a word up again. Training is
+Adam with bias correction, global-norm gradient clipping and
+patience-based early stopping on the validation loss, which on the CRF
+head runs the forward recursion only (``chain.log_partition``);
+``FitHistory`` records the largest pre-clip gradient norm and the number
+of clipped batches. Initial weights and each epoch's shuffle come from
+``rng.Pcg64`` (the stream of ``numpy.random.default_rng``), so given a
+fixed seed a run is fully deterministic.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,6 +38,9 @@ from .iob import TAGS, TaggedSentence
 from .lstm import LstmCell, backprop_sequence, run_sequence
 from .settings import FitConfig
 from .tokenizer import Sentence, Token
+
+if TYPE_CHECKING:
+    from .encoding import Encoded
 
 HEAD_SOFTMAX = "softmax"
 HEAD_CRF = "crf"
@@ -50,7 +61,6 @@ class BiLstmTagger:
     head_W: np.ndarray  # [labels, 2*hidden]
     head_b: np.ndarray  # [labels]
     transitions: np.ndarray | None  # [labels, labels], CRF head only
-    label_index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
         if self.head_kind not in (HEAD_SOFTMAX, HEAD_CRF):
@@ -74,7 +84,6 @@ class BiLstmTagger:
             weights.append(self.transitions)
         if not all(np.isfinite(w).all() for w in weights):
             raise ValueError("model weights must be finite")
-        self.label_index = {lab: i for i, lab in enumerate(self.label_set)}
 
     @property
     def hidden_dim(self) -> int:
@@ -102,8 +111,41 @@ class BiLstmTagger:
                 for tags in predict(self, [s.tokens for s in part], constrained)]
 
 
+def _encoded(sentences: Encoded | list[TaggedSentence],
+             label_set: list[str]) -> Encoded:
+    """``sentences``, encoded over ``label_set`` unless they already are."""
+    from .encoding import Encoded, Encoder  # tagging never compiles it
+
+    if isinstance(sentences, Encoded):
+        return sentences
+    corpus, unknown = Encoder(label_set).encode(
+        ([tok.surface for tok in ts.tokens], ts.tags) for ts in sentences)
+    if unknown:
+        raise ValueError(f"unknown label in gold tags: {unknown[0]!r}")
+    return corpus
+
+
+def _embedded(tagger: BiLstmTagger,
+              sentences: Encoded | list[TaggedSentence]) -> Encoded:
+    """``sentences`` encoded, with each token's row in the tagger's
+    embedding; mapping a corpus counts each of its tokens once toward the
+    table's ``oov_rate``, and a corpus already mapped onto the table is
+    returned as it is."""
+    corpus = _encoded(sentences, tagger.label_set)
+    table = tagger.embedding
+    if corpus.table is table:
+        return corpus
+    if corpus.label_set != tagger.label_set:
+        raise ValueError("the corpus is encoded over another label set")
+    counts = np.bincount(corpus.word_ids, minlength=len(corpus.words))
+    word_rows = np.array([table.row(word, n) if n else -1
+                          for word, n in zip(corpus.words, counts.tolist())],
+                         dtype=np.intc)
+    return replace(corpus, rows=word_rows[corpus.word_ids], table=table)
+
+
 def build_tagger(
-    train_sentences: list[TaggedSentence],
+    train_sentences: Encoded | list[TaggedSentence],
     source_table: EmbeddingTable,
     head_kind: str = HEAD_CRF,
     hidden_dim: int = FitConfig.hidden_dim,
@@ -116,9 +158,10 @@ def build_tagger(
     randomly initialized tables (the network adjusts them), frozen for
     pretrained files; pass an explicit bool to override either way.
     """
-    if not train_sentences:
+    train = _encoded(train_sentences, TAGS)
+    if not len(train):
         raise ValueError("no training sentences")
-    vocab = sorted({tok.surface for ts in train_sentences for tok in ts.tokens})
+    vocab = train.vocabulary()
     matrix = np.vstack([source_table.lookup(w) for w in vocab])
     table = EmbeddingTable(
         source_table.dim,
@@ -144,14 +187,21 @@ def build_tagger(
     )
 
 
+def _inputs(table: EmbeddingTable, rows: np.ndarray, word) -> np.ndarray:
+    """Input matrix [T, dim] of tokens at embedding ``rows``: a token at
+    row -1 takes the OOV vector of its word, ``word(t)``, at this call, as
+    the ``mean_vector`` policy follows the weights being trained."""
+    X = table.matrix[rows]
+    for t in np.flatnonzero(rows < 0):
+        X[t] = table._oov_vector(word(t))
+    return X
+
+
 def _embed(tagger: BiLstmTagger, tokens: list[Token]) -> tuple[np.ndarray, np.ndarray]:
     """Input matrix [T, dim] and per-token row index (-1 for OOV)."""
     table = tagger.embedding
     rows = np.array([table.row(t.surface) for t in tokens], dtype=np.intp)
-    X = table.matrix[rows]
-    for i in np.flatnonzero(rows < 0):
-        X[i] = table._oov_vector(tokens[i].surface)
-    return X, rows
+    return _inputs(table, rows, lambda t: tokens[t].surface), rows
 
 
 def _forward(tagger: BiLstmTagger, X: np.ndarray, batch_sizes, reverse):
@@ -163,21 +213,23 @@ def _forward(tagger: BiLstmTagger, X: np.ndarray, batch_sizes, reverse):
     return H @ tagger.head_W.T + tagger.head_b, (cache_f, cache_b, H)
 
 
-def _pack_inputs(tagger: BiLstmTagger, sentences: list[list[Token]]):
+def _pack_inputs(lengths, X: np.ndarray, rows: np.ndarray):
     """(batch_sizes, packed row of each token of the concatenated
-    sentences, input rows [N, dim] and their embedding rows, packed)."""
-    if not all(sentences):
+    sentences of these ``lengths``, and their input rows [N, dim] and
+    embedding rows, packed)."""
+    if not all(lengths):
         raise ValueError("cannot run the tagger on an empty sentence")
-    sizes, order = chain.pack([len(tokens) for tokens in sentences])
+    sizes, order = chain.pack(lengths)
     token = np.argsort(order)  # packed row -> token of the concatenation
-    X, rows = _embed(tagger, [tok for tokens in sentences for tok in tokens])
     return sizes, order, X[token], rows[token]
 
 
 def _scores(tagger: BiLstmTagger, sentences: list[list[Token]]) -> np.ndarray:
     """Raw label scores [N, L] of sentences run as one packed pass, in
     the token order of the concatenated sentences."""
-    sizes, order, X, _ = _pack_inputs(tagger, sentences)
+    X, rows = _embed(tagger, [tok for tokens in sentences for tok in tokens])
+    sizes, order, X, _ = _pack_inputs([len(tokens) for tokens in sentences],
+                                      X, rows)
     raw, _ = _forward(tagger, X, sizes, chain.reversed_rows(sizes))
     return raw[order]
 
@@ -194,7 +246,7 @@ def forward_sentence(tagger: BiLstmTagger, tokens: list[Token]) -> np.ndarray:
     return _softmax_rows(raw) if tagger.head_kind == HEAD_SOFTMAX else raw
 
 
-def loss(tagger: BiLstmTagger, batch: list[TaggedSentence]) -> float:
+def loss(tagger: BiLstmTagger, batch: Encoded | list[TaggedSentence]) -> float:
     """Mean per-token cross-entropy (softmax head) or mean per-sentence
     sequence NLL (CRF head)."""
     value, _ = _loss_impl(tagger, batch, want_grads=False)
@@ -202,20 +254,21 @@ def loss(tagger: BiLstmTagger, batch: list[TaggedSentence]) -> float:
 
 
 def loss_and_gradients(
-    tagger: BiLstmTagger, batch: list[TaggedSentence]
+    tagger: BiLstmTagger, batch: Encoded | list[TaggedSentence]
 ) -> tuple[float, dict[str, np.ndarray]]:
     return _loss_impl(tagger, batch, want_grads=True)
 
 
-def _loss_denominator(tagger: BiLstmTagger, batch: list[TaggedSentence]) -> int:
+def _loss_denominator(tagger: BiLstmTagger, batch: Encoded) -> int:
     """A batch's loss is the mean over its tokens (softmax) or sentences (CRF)."""
     if tagger.head_kind == HEAD_SOFTMAX:
-        return sum(len(ts.tokens) for ts in batch)
+        return int(batch.lengths.sum())
     return len(batch)
 
 
 def _loss_impl(tagger, batch, want_grads):
-    if not batch:
+    batch = _embedded(tagger, batch)
+    if not len(batch):
         raise ValueError("empty batch")
     grads = ({k: np.zeros_like(v) for k, v in tagger.parameters().items()}
              if want_grads else None)
@@ -228,15 +281,14 @@ def _loss_impl(tagger, batch, want_grads):
     return value, grads
 
 
-def _pass_loss(tagger, sentences, denom, grads) -> float:
-    """Summed loss of sentences run as one packed pass; adds the gradients
-    of that sum divided by ``denom`` into ``grads`` unless it is None."""
-    sizes, order, X, rows = _pack_inputs(tagger, [ts.tokens for ts in sentences])
+def _pass_loss(tagger, part: Encoded, denom, grads) -> float:
+    """Summed loss of the sentences of an embedded corpus run as one packed
+    pass; adds the gradients of that sum divided by ``denom`` into
+    ``grads`` unless it is None."""
+    X = _inputs(part.table, part.rows, lambda t: part.words[part.word_ids[t]])
+    sizes, order, X, rows = _pack_inputs(part.lengths, X, part.rows)
     gold = np.empty(len(order), dtype=np.intp)
-    try:
-        gold[order] = [tagger.label_index[t] for ts in sentences for t in ts.tags]
-    except KeyError as err:
-        raise ValueError(f"unknown label in gold tags: {err}") from None
+    gold[order] = part.label_ids
     reverse = chain.reversed_rows(sizes)
     raw, (cache_f, cache_b, H) = _forward(tagger, X, sizes, reverse)
     if tagger.head_kind == HEAD_SOFTMAX:
@@ -350,8 +402,8 @@ class FitHistory:
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit(
     tagger: BiLstmTagger,
-    train: list[TaggedSentence],
-    validation: list[TaggedSentence],
+    train: Encoded | list[TaggedSentence],
+    validation: Encoded | list[TaggedSentence],
     config: FitConfig,
     progress=None,
 ) -> tuple[BiLstmTagger, FitHistory]:
@@ -359,9 +411,12 @@ def fit(
 
     Stops when the validation loss has not improved for `patience`
     consecutive epochs (or at max_epochs) and restores the parameters
-    from the best epoch.
+    from the best epoch. Both splits are mapped onto the embedding rows
+    once, before the first epoch.
     """
-    if not train or not validation:
+    train = _embedded(tagger, train)
+    validation = _embedded(tagger, validation)
+    if not len(train) or not len(validation):
         raise ValueError("train and validation splits must be non-empty")
     params = tagger.parameters()
     optimizer = AdamOptimizer(params, config)
@@ -376,7 +431,7 @@ def fit(
         loss_sum = 0.0
         weight_sum = 0
         for start in range(0, len(order), config.batch_size):
-            batch = [train[i] for i in order[start : start + config.batch_size]]
+            batch = train[order[start : start + config.batch_size]]
             try:
                 value, grads = loss_and_gradients(tagger, batch)
             except FloatingPointError as err:

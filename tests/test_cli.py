@@ -1018,6 +1018,67 @@ class TestStreaming:
         assert self._fails(argv, tmp_path, capsys) == (
             f"error: {source}: {decoding.value}\n")
 
+    @pytest.mark.parametrize("kind", ["crf", "bilstm-crf"])
+    def test_train_names_the_fault_of_reading_both_files_first(
+            self, kind, long_conll, tmp_path, capsys, monkeypatch):
+        # BiLSTM train encodes its files pass by pass, CRF train reads them
+        # whole; both name the same fault, and before any fit
+        def never(*args, **kwargs):
+            raise AssertionError("a fit started")
+
+        monkeypatch.setattr(crf, "train", never)
+        monkeypatch.setattr(neural, "fit", never)
+        P = chain.PASS_SENTENCES
+        paths = {key: tmp_path / f"{key}.conll"
+                 for key in ("train", "validation")}
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"model_kind = {kind}\ntrain = {paths['train']}\n"
+            f"validation = {paths['validation']}\n"
+            f"model_out = {tmp_path / 'never.model'}\n"
+            + ("embedding = random\n" if kind != "crf" else ""))
+
+        def write(key, untagged=(), first_tags={}, malformed=False):
+            """The corpus with tag faults, and a malformed row in its last
+            pass if ``malformed``; returns that row's line number."""
+            items = [conll.ConllSentence(i.doc_id, i.sentence, list(i.tags))
+                     for i in long_conll]
+            for index in untagged:
+                items[index].tags = None
+            for index, tag in first_tags.items():
+                items[index].tags[0] = tag
+            lines = conll.write_conll(items).splitlines()
+            lineno = len(lines) - 3
+            assert lines[lineno - 1].count("\t") in (2, 3)  # a token row
+            if malformed:
+                lines[lineno - 1] = "bad"
+            paths[key].write_text("\n".join(lines) + "\n")
+            return lineno
+
+        def fault():
+            return self._fails(["train", config], tmp_path, capsys)
+
+        train, validation = paths["train"], paths["validation"]
+        lineno = write("train", untagged=[P + 1], malformed=True)
+        write("validation", malformed=True)
+        assert fault() == (f"error: {train} line {lineno}: expected 3 or 4 "
+                           "tab-separated columns, got 1\n")
+        write("train", untagged=[3 * P + 5, 4 * P], first_tags={3: "B-ZETA"})
+        assert fault() == (
+            f"error: {train}: sentence {3 * P + 5} has no tag column\n")
+        write("train", first_tags={5 * P: "B-ZETA"})
+        write("validation", untagged=[2 * P], first_tags={0: "B-BETA"})
+        assert fault() == (
+            f"error: {validation}: sentence {2 * P} has no tag column\n")
+        write("train", first_tags={5 * P: "B-ZETA", 1: "B-ALPHA"})
+        write("validation", first_tags={0: "B-BETA"})
+        assert fault() == (f"error: {train}: tags not in the model's label "
+                           "set: B-ALPHA, B-ZETA\n")
+        write("train")
+        write("validation", first_tags={4 * P: "B-ZETA", 2: "B-BETA"})
+        assert fault() == (f"error: {validation}: tags not in the model's "
+                           "label set: B-BETA, B-ZETA\n")
+
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_an_unreadable_input_is_named(self, command, trained_crf,
                                           tmp_path, capsys, monkeypatch):
@@ -1057,6 +1118,36 @@ class TestStreaming:
                 tracemalloc.stop()
         # the first run imports and caches; the last one is the baseline
         assert peaks[10] <= 1.5 * peaks[1], peaks
+
+    def test_bilstm_train_memory_per_token_is_the_encoding(self, trained_crf,
+                                                           tmp_path):
+        # train reads its splits pass by pass into word-id and label-id
+        # arrays; Token objects held for the whole fit cost about 230 B each
+        import tracemalloc
+
+        _, train_conll, heldout_conll = trained_crf
+        text = train_conll.read_text()
+        tokens = sum(len(item.sentence.tokens)
+                     for item in conll.read_conll(text))
+        peaks = {}
+        for copies in (1, 10, 1):
+            source = tmp_path / f"x{copies}.conll"
+            source.write_text(text * copies)
+            config = tmp_path / f"x{copies}.cfg"
+            config.write_text(
+                f"model_kind = bilstm-crf\ntrain = {source}\n"
+                f"validation = {heldout_conll}\nembedding = random\n"
+                "embedding_dim = 8\nhidden_dim = 5\nmax_epochs = 1\n"
+                f"seed = 2\nmodel_out = {tmp_path / 'm.model'}\n")
+            tracemalloc.start()
+            try:
+                assert run(["train", config]) == 0
+                peaks[copies] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the first run imports and caches; the last one is the baseline
+        per_token = (peaks[10] - peaks[1]) / (9 * tokens)
+        assert per_token < 100, (per_token, peaks)
 
 
 class TestImports:
@@ -1147,6 +1238,43 @@ class TestImports:
         tagger = model_io.load_model(model)
         assert "Zyxqwv" not in tagger.embedding.vocab
         assert tagger.embedding.oov_policy == "random_seeded"
+
+    def test_tagging_commands_never_load_brat_or_synthetic(
+            self, trained_crf, trained_bilstm_crf, tmp_path):
+        # only convert reads Brat files and only gen-synthetic writes them;
+        # only evaluate scores, with metrics; only BiLSTM training encodes
+        _, train_conll, heldout_conll = trained_crf
+        crf_config = tmp_path / "crf.cfg"
+        crf_config.write_text(f"model_kind = crf\ntrain = {train_conll}\n"
+                              f"model_out = {tmp_path / 'crf.model'}\n"
+                              "max_iterations = 2\n")
+        bl_config = tmp_path / "bl.cfg"
+        bl_config.write_text(
+            f"model_kind = bilstm-crf\ntrain = {train_conll}\n"
+            f"validation = {heldout_conll}\nembedding = random\n"
+            f"embedding_dim = 8\nhidden_dim = 5\nmax_epochs = 1\n"
+            f"model_out = {tmp_path / 'bl.model'}\n")
+        code = (
+            "import sys\n"
+            "from raretag import cli\n"
+            "argv = sys.argv[1:]\n"
+            "never = ['brat', 'synthetic']\n"
+            "for run, unwanted in (\n"
+            "        (argv[0:4], never + ['metrics', 'encoding']),\n"
+            "        (argv[4:6], never + ['metrics']),\n"
+            "        (argv[6:8], never + ['metrics']), (argv[8:], never)):\n"
+            "    assert cli.main(run) == 0, run\n"
+            "    loaded = [m for m in unwanted if f'raretag.{m}' in sys.modules]\n"
+            "    assert not loaded, (run[:2], loaded)\n"
+        )
+        proc = self.run_fresh(
+            code, ["predict", trained_bilstm_crf, heldout_conll,
+                   tmp_path / "pred.conll", "train", crf_config,
+                   "train", bl_config,
+                   "evaluate", trained_bilstm_crf, heldout_conll])
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "pred.conll").is_file()
+        assert (tmp_path / "bl.model").is_file()
 
     def test_crf_train_never_loads_bilstm_code(self, trained_crf, tmp_path):
         # the config schema's neural fields come from settings, not neural

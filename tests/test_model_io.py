@@ -1,4 +1,7 @@
+import errno
 import json
+import os
+import stat
 import sys
 import threading
 from pathlib import Path
@@ -270,6 +273,44 @@ class TestFormat:
             assert raised.value is err
             assert path.read_bytes() == b"old"
             assert list(tmp_path.iterdir()) == [path]
+
+    def test_the_file_then_its_directory_is_flushed(self, tmp_path,
+                                                    monkeypatch):
+        path = tmp_path / "out.txt"
+        synced = []
+        fsync = os.fsync
+
+        def recorded(fd):
+            st = os.fstat(fd)
+            synced.append((stat.S_ISDIR(st.st_mode), st.st_ino))
+            if st.st_ino == fail_on:
+                raise OSError(errno.EIO, "Input/output error")
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recorded)
+        fail_on = None
+        with atomic_writer(path) as write:
+            write(b"data")
+        directory = (True, tmp_path.stat().st_ino)
+        assert synced == [(False, path.stat().st_ino), directory]
+        # a block that raises flushes nothing and leaves no temp file
+        synced.clear()
+        with pytest.raises(ValueError):
+            with atomic_writer(path) as write:
+                write(b"partial")
+                raise ValueError("bad input line")
+        assert synced == []
+        assert path.read_bytes() == b"data"
+        assert list(tmp_path.iterdir()) == [path]
+        # a failed directory flush names the target, which holds the data
+        synced.clear()
+        fail_on = tmp_path.stat().st_ino
+        with pytest.raises(OSError) as raised:
+            atomic_write_bytes(path, b"new")
+        assert raised.value.filename == str(path)
+        assert synced[-1] == directory
+        assert path.read_bytes() == b"new"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_dump_text_is_lossless(self, tmp_path):
         model, _ = trained_crf()

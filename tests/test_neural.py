@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from oracles import (
 from toy import make_tagged, toy_corpus
 from raretag import chain, neural
 from raretag.embeddings import random_table
+from raretag.encoding import Encoder
 from raretag.iob import TAGS, validate
 from raretag.metrics import entity_level
 from raretag.neural import (
@@ -185,7 +187,6 @@ class TestPackedPasses:
     def test_non_finite_weights_rejected(self, name):
         tagger, _ = small_tagger(HEAD_CRF)
         fields = dict(vars(tagger))
-        del fields["label_index"]
         fields[name] = fields[name].copy()
         fields[name].flat[0] = np.inf
         with pytest.raises(ValueError, match="finite"):
@@ -194,7 +195,6 @@ class TestPackedPasses:
     def test_softmax_head_with_transitions_rejected(self):
         tagger, _ = small_tagger(HEAD_SOFTMAX)
         fields = dict(vars(tagger))
-        del fields["label_index"]
         fields["transitions"] = np.zeros((9, 9))
         with pytest.raises(ValueError, match="softmax head"):
             BiLstmTagger(**fields)
@@ -207,7 +207,6 @@ class TestPackedPasses:
     def test_mistyped_fields_rejected(self, name, value, match):
         tagger, _ = small_tagger(HEAD_CRF)
         fields = dict(vars(tagger))
-        del fields["label_index"]
         fields[name] = value
         with pytest.raises(ValueError, match=match):
             BiLstmTagger(**fields)
@@ -395,6 +394,111 @@ class TestEmbeddingTrainability:
                            hidden_dim=4, seed=3)
         fit(tagger, train_split, val_split, config)
         assert np.array_equal(tagger.embedding.matrix, before)
+
+
+class TestEncoded:
+    def test_sentences_select_in_order_over_one_word_list(self):
+        encoder = Encoder(TAGS)
+        train, unknown = encoder.encode([(["the", "rash"], ["O", "B-SIGN"]),
+                                         (["Rash"], ["B-FOO"]),
+                                         (["the", "skin", "x"], ["O"] * 3)])
+        assert unknown == ["B-FOO"]
+        val, unknown = encoder.encode([(["skin", "new"], ["O", "B-BAR"])])
+        assert unknown == ["B-BAR"]
+        assert encoder.words == ["the", "rash", "Rash", "skin", "x", "new"]
+        assert train.words is val.words
+        assert train.word_ids.tolist() == [0, 1, 2, 0, 3, 4]
+        assert train.label_ids.tolist() == [0, 5, -1, 0, 0, 0]
+        assert val.word_ids.tolist() == [3, 5]
+        assert train.vocabulary() == ["Rash", "rash", "skin", "the", "x"]
+        for key, chosen in (([2, 0], [2, 0]), (slice(1, None), [1, 2]),
+                            ([], [])):
+            part = train[key]
+            assert len(part) == len(chosen)
+            assert part.lengths.tolist() == [[2, 1, 3][i] for i in chosen]
+            spans = [[0, 1], [2], [3, 4, 5]]
+            tokens = [t for i in chosen for t in spans[i]]
+            assert part.word_ids.tolist() == train.word_ids[tokens].tolist()
+            assert part.label_ids.tolist() == train.label_ids[tokens].tolist()
+
+    def test_unknown_gold_label_is_named(self):
+        tagger, corpus = small_tagger(HEAD_CRF)
+        bad = make_tagged(["the", "rash"], ["O", "B-FOO"])
+        for call in (loss, loss_and_gradients):
+            with pytest.raises(ValueError, match="unknown label in gold "
+                                                 "tags: 'B-FOO'"):
+                call(tagger, corpus + [bad])
+
+    def test_a_corpus_over_another_label_set_is_refused(self):
+        tagger, corpus = small_tagger(HEAD_CRF)
+        other, _ = Encoder(TAGS[::-1]).encode(
+            ([t.surface for t in ts.tokens], ts.tags) for ts in corpus)
+        with pytest.raises(ValueError, match="another label set"):
+            loss(tagger, other)
+
+
+# Pinned from the per-token lookup path that this encoding replaced: the
+# parameter digest, the float.hex of each epoch's train and validation
+# loss, and the largest pre-clip gradient norm. Training never leaves the
+# vocabulary, so the two heads' random_seeded and mean_vector fits share
+# their weights; their validation losses differ, as an unknown word's
+# mean vector follows the embedding matrix the fit trains.
+OOV_FITS = {
+    (HEAD_SOFTMAX, "random_seeded"): (
+        "2ae0f1f58fec0ae7",
+        ["0x1.151b702249ec2p+1", "0x1.065942c980abbp+1", "0x1.d645f0e364ed4p+0"],
+        ["0x1.08a6ccb00ebccp+1", "0x1.d7595840693c7p+0", "0x1.93e60d3eb40d8p+0"],
+        "0x1.3a340b6e2615fp-1"),
+    (HEAD_CRF, "random_seeded"): (
+        "9801cbe03e2ad8b6",
+        ["0x1.184779736407ep+3", "0x1.eb31daff2c9f5p+2", "0x1.9ab2a4006e713p+2"],
+        ["0x1.a571a07576c18p+2", "0x1.62361f40be89fp+2", "0x1.2b4dd393daafap+2"],
+        "0x1.66faefa4df1b8p+1"),
+    (HEAD_CRF, "mean_vector"): (
+        "9801cbe03e2ad8b6",
+        ["0x1.184779736407ep+3", "0x1.eb31daff2c9f5p+2", "0x1.9ab2a4006e713p+2"],
+        ["0x1.a5b80b684c670p+2", "0x1.631650f707b06p+2", "0x1.2cfad50559e9bp+2"],
+        "0x1.66faefa4df1b8p+1"),
+}
+
+
+class TestOutOfVocabulary:
+    @pytest.mark.parametrize("encoded", [False, True], ids=["lists", "encoder"])
+    @pytest.mark.parametrize("head_kind,policy", list(OOV_FITS))
+    def test_fit_through_the_oov_vectors_is_pinned(self, head_kind, policy,
+                                                   encoded):
+        train_split = toy_corpus(seed=84, size=10)
+        # "Rash" takes the row of "rash"; "zyxqwv" and the validation's own
+        # words take their OOV vectors
+        val_split = toy_corpus(seed=85, size=4) + [make_tagged(
+            ["Rash", "zyxqwv", "the", "zyxqwv"], ["B-SIGN", "O", "O", "O"])]
+        vocab = sorted({t.surface for ts in train_split for t in ts.tokens})
+        assert "rash" in vocab and "Rash" not in vocab
+        table = random_table(vocab, 5, seed=3, oov_policy=policy)
+        if encoded:  # as cli train reads them: one word list for both
+            encoder = Encoder(TAGS)
+            train_split, val_split = (encoder.encode(
+                ([t.surface for t in ts.tokens], ts.tags) for ts in split)[0]
+                for split in (train_split, val_split))
+        tagger = build_tagger(train_split, table, head_kind=head_kind,
+                              hidden_dim=4, seed=3)
+        config = FitConfig(learning_rate=0.05, max_epochs=3, batch_size=4,
+                           hidden_dim=4, seed=3)
+        tagger, history = fit(tagger, train_split, val_split, config)
+        params = tagger.parameters()
+        digest = hashlib.sha256(
+            b"".join(params[k].tobytes() for k in sorted(params))).hexdigest()
+        assert (digest[:16], [x.hex() for x in history.train_loss],
+                [x.hex() for x in history.val_loss],
+                history.max_gradient_norm.hex()) == OOV_FITS[head_kind, policy]
+        assert (history.best_epoch, history.stopped_epoch,
+                history.clipped_batches) == (3, 3, 0)
+        # 41 training and 17 validation tokens, each looked up once per fit:
+        # the three misses are "zyxqwv" twice and "asthma"; the rate is the
+        # one that counting every epoch gave
+        table = tagger.embedding
+        assert (table._lookups, table._misses) == (41 + 17, 3)
+        assert table.oov_rate().hex() == "0x1.a7b9611a7b961p-5"
 
 
 class TestPredict:
