@@ -14,9 +14,10 @@ runs never load the BiLSTM code; ``brat``, ``synthetic`` and ``metrics``
 are imported only by the commands that use them. ``predict`` and
 ``evaluate`` stream their CoNLL input: they read, tag and write (or score)
 one ``chain.PASS_SENTENCES`` pass at a time, so they hold one pass of its
-tokens, not the whole file. BiLSTM ``train`` streams its train and
-validation files the same way into one ``encoding.Encoded`` corpus each,
-word ids and label ids as int arrays, so the fit holds no token object.
+tokens, not the whole file. ``train`` streams its train and validation
+files the same way into one ``encoding.Encoded`` corpus each, as int
+arrays (word and label ids, and for the CRF each token's four attribute
+value ids), so the fit holds no token object.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from pathlib import Path
 
 from . import conll, iob
 from .atomic import atomic_write_text, atomic_writer, read_utf8
-from .iob import TaggedSentence
 from .settings import FitConfig
 
 CONFIG_DIR_ENV = "RARETAG_CONFIG_DIR"
@@ -192,17 +192,10 @@ def _check_tagged(tag_lists, path) -> None:
         raise _no_tag_column(path, missing)
 
 
-def _read_tagged_conll(path: str | Path, need_tags: bool = True):
-    items = [item for items in _read_passes(path) for item in items]
-    if need_tags:
-        _check_tagged([item.tags for item in items], path)
-    return items
-
-
 def _read_encoded_conll(encoder, path: str | Path):
     """The tagged sentences of a CoNLL file, encoded pass by pass, and the
-    tags outside the encoder's label set; faults read as those of
-    ``_read_tagged_conll``, a missing tag column once the file is read."""
+    tags outside the encoder's label set; a missing tag column is named
+    once the file is read, as reading it whole names it."""
     untagged = []  # the index of each sentence without a tag column
 
     def sentences():
@@ -211,16 +204,12 @@ def _read_encoded_conll(encoder, path: str | Path):
             if item.tags is None:
                 untagged.append(index)
             else:
-                yield [tok.surface for tok in item.sentence.tokens], item.tags
+                yield item.sentence.tokens, item.tags
 
     corpus, unknown = encoder.encode(sentences())
     if untagged:
         raise _no_tag_column(path, untagged[0])
     return corpus, unknown
-
-
-def _tagged_sentences(items) -> list[TaggedSentence]:
-    return [TaggedSentence(item.sentence.tokens, item.tags) for item in items]
 
 
 def _check_labels(tag_lists, label_set: list[str], path) -> None:
@@ -298,6 +287,7 @@ def _build_embedding_source(cfg: dict, train, seed: int):
 
 def cmd_train(args) -> int:
     from . import crf, model_io
+    from .encoding import Encoder
 
     config_path = _resolve_config_path(args.config)
     cfg = validate_run_config(parse_config(read_utf8(config_path, CliError)))
@@ -310,17 +300,16 @@ def cmd_train(args) -> int:
             raise CliError(f"{key} file not found: {cfg[key]}")
 
     history_csv = None
+    encoder = Encoder(iob.TAGS, attributes=kind == "crf")
+    train, train_unknown = _read_encoded_conll(encoder, cfg["train"])
+    val, val_unknown = (_read_encoded_conll(encoder, cfg["validation"])
+                        if "validation" in cfg else (None, []))
+    _check_labels([train_unknown], iob.TAGS, cfg["train"])
+    _check_labels([val_unknown], iob.TAGS, cfg.get("validation"))
+    started = time.monotonic()
     if kind == "crf":
-        train_items = _read_tagged_conll(cfg["train"])
-        val_items = (_read_tagged_conll(cfg["validation"])
-                     if "validation" in cfg else [])
-        _check_labels([item.tags for item in train_items], iob.TAGS,
-                      cfg["train"])
-        _check_labels([item.tags for item in val_items], iob.TAGS,
-                      cfg.get("validation"))
-        started = time.monotonic()
         # default hyperparameters: train on train+validation together
-        model, opt = crf.train(_tagged_sentences(train_items + val_items),
+        model, opt = crf.train(train if val is None else train + val,
                                settings)
         final_metrics = {
             "objective": opt.fun,
@@ -333,14 +322,7 @@ def cmd_train(args) -> int:
         }
     else:
         from . import neural
-        from .encoding import Encoder
 
-        encoder = Encoder(iob.TAGS)
-        train, train_unknown = _read_encoded_conll(encoder, cfg["train"])
-        val, val_unknown = _read_encoded_conll(encoder, cfg["validation"])
-        _check_labels([train_unknown], iob.TAGS, cfg["train"])
-        _check_labels([val_unknown], iob.TAGS, cfg["validation"])
-        started = time.monotonic()
         source = _build_embedding_source(cfg, train, settings.seed)
         head = neural.HEAD_CRF if kind == "bilstm-crf" else neural.HEAD_SOFTMAX
         tagger = neural.build_tagger(

@@ -9,7 +9,8 @@ and L labels. Unseen test-time features read a zero sentinel weight row,
 never grown into the model.
 
 Training and tagging index features as int64 keys (``features.window_keys``)
-and never format a feature string; the functions that take each token's
+and never format a feature string; training keys an ``encoding.Encoded``
+corpus and fits on int32 rows. The functions that take each token's
 feature names are the reference that the tests check the keys against.
 """
 
@@ -17,17 +18,21 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import chain, iob, lbfgs
 from .features import (  # noqa: F401 (sentence_features is traced here)
-    DEFAULT_WINDOW, key_names, sentence_features, template_keys, token_values,
-    value_ids, window_keys,
+    DEFAULT_WINDOW, key_names, sentence_features, sentence_keys,
+    template_keys,
 )
 from .iob import TaggedSentence
 from .settings import require_finite
 from .tokenizer import Sentence
+
+if TYPE_CHECKING:
+    from .encoding import Encoded
 
 
 @dataclass
@@ -55,18 +60,21 @@ def _scores(state: np.ndarray, features: np.ndarray) -> np.ndarray:
     table = np.vstack([state, np.zeros(state.shape[1])])
     scores = np.zeros((len(features), state.shape[1]))
     for column in features.T:
-        scores += table[column]
+        scores += table.take(column, axis=0)  # faster than table[column]
     return scores
 
 
 def _state_gradient(d_scores: np.ndarray, features: np.ndarray,
                     F: int) -> np.ndarray:
     """[F, L] sums of the score gradients of the tokens that hold each
-    feature, one ``np.bincount`` per label; the sentinel's sum is dropped."""
-    K = features.shape[1]
-    return np.array([np.bincount(features.ravel(), np.repeat(column, K),
-                                 minlength=F + 1)[:F]
-                     for column in d_scores.T]).T
+    feature, one ``np.bincount`` per label and group of 7 columns, in token
+    order as a template feature sits in one column; the sentinel's is dropped."""
+    grad = np.zeros((d_scores.shape[1], F + 1))
+    for group in np.hsplit(features, range(7, features.shape[1], 7)):
+        rows = group.astype(np.intp).ravel()
+        for label, column in zip(grad, d_scores.T):
+            label += np.bincount(rows, np.repeat(column, group.shape[1]), F + 1)
+    return grad[:, :F].T
 
 
 @dataclass
@@ -119,7 +127,7 @@ class CrfModel:
     def feature_keys(self, sentences: list[Sentence]) -> np.ndarray:
         """The ``features.window_keys`` of the sentences over the model's
         values; a feature the model does not hold gets a key it lacks."""
-        return window_keys(sentences, self._values, self.window)
+        return sentence_keys(sentences, self._values, self.window)
 
     def index_tokens(self, token_features: np.ndarray | list[list[str]]
                      ) -> np.ndarray:
@@ -186,19 +194,15 @@ class _Packed:
     features: np.ndarray  # [N, K] feature rows of each packed row
 
 
-def _pack(model: CrfModel, tokens: np.ndarray, tags: list[list[str]]
-          ) -> _Packed:
-    """Lay out sentences longest first, ties in order, from the [T, K]
-    ``index_tokens`` rows of all their tokens in turn and their gold tags."""
-    if not all(tags):
+def _pack(tokens: np.ndarray, gold: np.ndarray, lengths) -> _Packed:
+    """Lay out sentences of these token counts longest first, ties in order,
+    from their tokens' [T, K] ``index_tokens`` rows, as int32, and gold ids."""
+    if not all(lengths):
         raise ValueError("batch contains an empty sentence")
-    try:
-        gold = np.array([model.label_index[t] for seq in tags for t in seq],
-                        dtype=np.intp)
-    except KeyError as err:
-        raise ValueError(f"unknown label in gold tags: {err}") from None
-    batch_sizes, token_rows = chain.pack([len(seq) for seq in tags])
-    packed_gold, features = np.empty_like(gold), np.empty_like(tokens)
+    if (gold < 0).any():
+        raise ValueError("unknown label in gold tags")
+    batch_sizes, token_rows = chain.pack(lengths)
+    packed_gold, features = np.empty_like(gold), np.empty(tokens.shape, np.int32)
     packed_gold[token_rows] = gold
     features[token_rows] = tokens
     return _Packed(batch_sizes, packed_gold, features)
@@ -237,29 +241,30 @@ def nll_and_gradient(
         raise ValueError("feature/tag length mismatch")
     F, L = len(model.feature_index), len(model.label_set)
     w = _flatten(model.state_weights, model.transition_weights)
-    packed = _pack(model, model.index_tokens(
+    gold = np.array([model.label_index.get(t, -1) for _, tags in batch for t in tags])
+    packed = _pack(model.index_tokens(
         [feats for token_features, _ in batch for feats in token_features]),
-        [tags for _, tags in batch])
+        gold, [len(tags) for _, tags in batch])
     value, grad = _batch_nll_grad(w, packed, F, L, config.l2_coefficient)
     value += config.l1_coefficient * float(np.abs(w).sum())
     return value, grad
 
 
 def build_feature_index(
-    sentences: list[TaggedSentence], window: int = DEFAULT_WINDOW
+    sentences: Encoded | list[TaggedSentence], window: int = DEFAULT_WINDOW
 ) -> dict[str, int]:
     """The training features in first-seen order. The corpus's features are
-    compared as keys over its own attribute values, and only each distinct
-    one is named."""
-    values = value_ids(token_values(sentences))
-    distinct, first = np.unique(window_keys(sentences, values, window),
-                                return_index=True)
-    names = key_names(distinct[np.argsort(first)], list(values), window)
+    compared as keys over its own attribute value ids, and only each
+    distinct one is named."""
+    from .encoding import encoded  # tagging never compiles it
+    corpus = encoded(sentences, iob.TAGS, attributes=True)
+    distinct, first = np.unique(corpus.feature_keys(window), return_index=True)
+    names = key_names(distinct[np.argsort(first)], corpus.words, window)
     return {name: row for row, name in enumerate(names)}
 
 
 def train(
-    sentences: list[TaggedSentence],
+    sentences: Encoded | list[TaggedSentence],
     config: TrainConfig | None = None,
     progress=None,
 ) -> tuple[CrfModel, lbfgs.OptimizeResult]:
@@ -270,13 +275,16 @@ def train(
     """
     if not sentences:
         raise ValueError("no training sentences")
+    from .encoding import encoded
     config = config or TrainConfig()
+    corpus = encoded(sentences, iob.TAGS, attributes=True)
     labels = list(iob.TAGS)
-    feature_index = build_feature_index(sentences, config.window)
+    feature_index = build_feature_index(corpus, config.window)
     model = make_zero_model(labels, feature_index, config.window)
-    # the fitted model's own indexer, which tagging uses too
-    batch = _pack(model, model.index_tokens(model.feature_keys(sentences)),
-                  [ts.tags for ts in sentences])
+    # the fitted model's own indexer, which tagging uses too; the [T, K]
+    # keys are freed before the fit
+    batch = _pack(model.index_tokens(corpus.feature_keys(
+        config.window, model._values)), corpus.label_ids, corpus.lengths)
     F, L = len(feature_index), len(labels)
 
     def objective(w: np.ndarray) -> tuple[float, np.ndarray]:

@@ -169,18 +169,6 @@ def load_text_format(
     )
 
 
-def save_text_format(table: EmbeddingTable, path: str | Path,
-                     header: bool = False) -> None:
-    """Write the table in text format with 6 significant digits."""
-    words = sorted(table.vocab, key=table.vocab.get)
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"{len(words)} {table.dim}\n")
-        for word in words:
-            values = " ".join(f"{v:.6g}" for v in table.matrix[table.vocab[word]])
-            fh.write(f"{word} {values}\n")
-
-
 def random_table(
     vocab: list[str], dim: int, seed: int, oov_policy: str = DEFAULT_OOV_POLICY
 ) -> EmbeddingTable:

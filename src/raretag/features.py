@@ -6,21 +6,23 @@ constant bias feature. Out-of-range offsets use the BOS/EOS sentinels so
 the feature count per token is always 4 * (2 * window + 1) + 1.
 
 ``extract_features`` states the templates as strings such as
-``w[-1]=the``. The CRF featurizes, indexes and scores a pass of sentences
-at once without building those strings: it interns each token's four
-attribute values into integer ids (``BOS`` and ``EOS`` are ids 0 and 1,
-whether sentinel or token) and ``window_keys`` turns them into one int64
-key per feature, ``slot * V + value`` with ``slot = (d + window) * 4 +
-kind`` and ``V`` above every value id; ``bias`` is slot ``4 * (2 *
-window + 1)``. ``template_keys`` and ``key_names`` convert feature names
-to keys and back, so a model file keeps its names.
+``w[-1]=the``. The CRF featurizes, indexes and scores tokens without
+building those strings: each token's four ``attribute_values`` are
+integer ids (``BOS`` and ``EOS`` are ids 0 and 1, whether sentinel or
+token; training interns them with ``encoding.Encoder``, tagging looks
+them up in the model's values), and ``window_keys``, the one keying core,
+turns them into one int64 key per feature, ``slot * V + value`` with
+``slot = (d + window) * 4 + kind`` and ``V`` above every value id;
+``bias`` is slot ``4 * (2 * window + 1)``. ``template_keys`` and
+``key_names`` convert feature names to keys and back, so a model file
+keeps its names.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tokenizer import Sentence
+from .tokenizer import Sentence, Token
 
 BOS = "BOS"
 EOS = "EOS"
@@ -51,8 +53,7 @@ def extract_features(
     for d in range(-window, window + 1):
         pos = index + d
         if 0 <= pos < n:
-            tok = sentence.tokens[pos]
-            values = (tok.surface, tok.surface.lower(), tok.lemma, tok.pos)
+            values = attribute_values(sentence.tokens[pos])
         else:
             values = (BOS if pos < 0 else EOS,) * 4
         features.extend(f"{attribute}[{_fmt_offset(d)}]={value}"
@@ -69,40 +70,38 @@ def sentence_features(
     ]
 
 
-def token_values(sentences: list[Sentence]) -> list[str]:
-    """Every token's surface, lowercase, lemma and PoS, token by token."""
-    return [value for sentence in sentences for tok in sentence.tokens
-            for value in (tok.surface, tok.surface.lower(), tok.lemma, tok.pos)]
+def attribute_values(token: Token) -> tuple[str, str, str, str]:
+    """The token's surface, lowercase, lemma and PoS, in template order."""
+    return token.surface, token.surface.lower(), token.lemma, token.pos
 
 
-def value_ids(values) -> dict[str, int]:
-    """Ids of the distinct values, first seen first, after BOS and EOS."""
-    distinct = dict.fromkeys([BOS, EOS, *values])
-    return {value: i for i, value in enumerate(distinct)}
-
-
-def window_keys(sentences: list[Sentence], values: dict[str, int],
-                window: int) -> np.ndarray:
-    """[T, features_per_token(window)] int64 keys of the sentences' tokens'
-    features, in ``extract_features`` order, over the value ids ``values``;
-    a value not in it gets id ``len(values)``, which no name's key holds."""
-    unseen, lengths = len(values), [len(s.tokens) for s in sentences]
-    ids = np.array([values.get(value, unseen)
-                    for value in token_values(sentences)],
-                   dtype=np.int64).reshape(-1, 4)
-    T, K = len(ids), features_per_token(window)
+def window_keys(ids: np.ndarray, lengths, V: int, window: int) -> np.ndarray:
+    """[T, features_per_token(window)] int64 keys of the features of tokens
+    with these [T, 4] ``attribute_values`` ids, in sentences of these
+    ``lengths``, in ``extract_features`` order; ``V`` is above every id."""
+    T, K, S = len(ids), features_per_token(window), len(lengths)
     # every sentence's rows, each between `window` BOS and `window` EOS rows
-    shift = 2 * window * np.arange(len(lengths))
+    shift = 2 * window * np.arange(S)
     row = np.arange(T) + np.repeat(shift + window, lengths)
     eos = np.cumsum(lengths, dtype=np.intp) + shift + window
-    padded = np.zeros((T + 2 * window * len(lengths), 4), np.int64)  # BOS
+    padded = np.zeros((T + 2 * window * S, 4), np.int64)  # BOS
     padded[(eos[:, None] + np.arange(window)).ravel()] = 1  # EOS
     padded[row] = ids
     keys = np.zeros((T, K), np.int64)
-    keys[:, :-1] = padded[row[:, None] + np.arange(-window, window + 1)
-                          ].reshape(T, K - 1)
-    keys += np.arange(K, dtype=np.int64) * (unseen + 1)
+    for block in range(2 * window + 1):  # one offset's four slots at a time
+        keys[:, 4 * block : 4 * block + 4] = padded[row + block - window]
+    keys += np.arange(K, dtype=np.int64) * V
     return keys
+
+
+def sentence_keys(sentences, values: dict[str, int], window: int) -> np.ndarray:
+    """The ``window_keys`` of the sentences over the value ids ``values``; a
+    value not in it gets id ``len(values)``, which no name's key holds."""
+    unseen = len(values)
+    ids = [values.get(value, unseen) for sentence in sentences
+           for tok in sentence.tokens for value in attribute_values(tok)]
+    return window_keys(np.array(ids, np.int64).reshape(-1, 4),
+                       [len(s.tokens) for s in sentences], unseen + 1, window)
 
 
 def template_keys(names, window: int
@@ -123,7 +122,8 @@ def template_keys(names, window: int
             slots.append(slot)
             held.append(value)
             positions.append(position)
-    values = value_ids(held)
+    values = {value: i for i, value in
+              enumerate(dict.fromkeys([BOS, EOS, *held]))}
     keys = (np.array(slots, np.int64) * (len(values) + 1)
             + np.array([values[value] for value in held], np.int64))
     return values, keys, np.array(positions, np.intp)

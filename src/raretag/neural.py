@@ -111,32 +111,18 @@ class BiLstmTagger:
                 for tags in predict(self, [s.tokens for s in part], constrained)]
 
 
-def _encoded(sentences: Encoded | list[TaggedSentence],
-             label_set: list[str]) -> Encoded:
-    """``sentences``, encoded over ``label_set`` unless they already are."""
-    from .encoding import Encoded, Encoder  # tagging never compiles it
-
-    if isinstance(sentences, Encoded):
-        return sentences
-    corpus, unknown = Encoder(label_set).encode(
-        ([tok.surface for tok in ts.tokens], ts.tags) for ts in sentences)
-    if unknown:
-        raise ValueError(f"unknown label in gold tags: {unknown[0]!r}")
-    return corpus
-
-
 def _embedded(tagger: BiLstmTagger,
               sentences: Encoded | list[TaggedSentence]) -> Encoded:
     """``sentences`` encoded, with each token's row in the tagger's
     embedding; mapping a corpus counts each of its tokens once toward the
     table's ``oov_rate``, and a corpus already mapped onto the table is
     returned as it is."""
-    corpus = _encoded(sentences, tagger.label_set)
+    from .encoding import encoded  # tagging never compiles it
+
+    corpus = encoded(sentences, tagger.label_set)
     table = tagger.embedding
     if corpus.table is table:
         return corpus
-    if corpus.label_set != tagger.label_set:
-        raise ValueError("the corpus is encoded over another label set")
     counts = np.bincount(corpus.word_ids, minlength=len(corpus.words))
     word_rows = np.array([table.row(word, n) if n else -1
                           for word, n in zip(corpus.words, counts.tolist())],
@@ -158,7 +144,9 @@ def build_tagger(
     randomly initialized tables (the network adjusts them), frozen for
     pretrained files; pass an explicit bool to override either way.
     """
-    train = _encoded(train_sentences, TAGS)
+    from .encoding import encoded
+
+    train = encoded(train_sentences, TAGS)
     if not len(train):
         raise ValueError("no training sentences")
     vocab = train.vocabulary()
@@ -238,12 +226,6 @@ def _softmax_rows(raw: np.ndarray) -> np.ndarray:
     shifted = raw - raw.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def forward_sentence(tagger: BiLstmTagger, tokens: list[Token]) -> np.ndarray:
-    """Per-token label scores [T, L]; softmax head rows are normalized."""
-    raw = _scores(tagger, [tokens])
-    return _softmax_rows(raw) if tagger.head_kind == HEAD_SOFTMAX else raw
 
 
 def loss(tagger: BiLstmTagger, batch: Encoded | list[TaggedSentence]) -> float:

@@ -165,6 +165,17 @@ def brute_nll_gradients(scores: np.ndarray, transitions: np.ndarray,
     return d_scores, d_trans
 
 
+def row_major_state_gradient(d_scores: np.ndarray, features: np.ndarray,
+                             F: int) -> np.ndarray:
+    """The CRF's [F, L] state gradient as one ``np.bincount`` per label over
+    the [N, K] feature rows read row by row, which repeats each label's
+    column K times; the sentinel row F is dropped."""
+    K = features.shape[1]
+    return np.array([np.bincount(features.ravel(), np.repeat(column, K),
+                                 minlength=F + 1)[:F]
+                     for column in d_scores.T]).T
+
+
 def central_difference_gradient(fun, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
     """Central finite differences of a scalar function, elementwise."""
     grad = np.zeros_like(x, dtype=np.float64)

@@ -1149,6 +1149,69 @@ class TestStreaming:
         per_token = (peaks[10] - peaks[1]) / (9 * tokens)
         assert per_token < 100, (per_token, peaks)
 
+    def test_crf_fit_holds_no_token_object(self, trained_crf, tmp_path,
+                                           monkeypatch):
+        # train reads train and validation pass by pass into attribute value
+        # ids; reading them whole held one Token per training token
+        import gc
+
+        from raretag import lbfgs
+        from raretag.iob import TaggedSentence
+        from raretag.tokenizer import Sentence, Token
+
+        _, train_conll, heldout_conll = trained_crf
+        config = tmp_path / "crf.cfg"
+        config.write_text(
+            f"model_kind = crf\ntrain = {train_conll}\n"
+            f"validation = {heldout_conll}\nmax_iterations = 2\n"
+            f"model_out = {tmp_path / 'm.model'}\n")
+        kinds = (Token, Sentence, conll.ConllSentence, TaggedSentence)
+
+        def live():
+            gc.collect()
+            return sum(isinstance(o, kinds) for o in gc.get_objects())
+
+        minimize, at_fit = lbfgs.minimize, []
+
+        def counted(*args, **kwargs):
+            at_fit.append(live())
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(lbfgs, "minimize", counted)
+        before = live()  # the other tests' fixtures hold some
+        assert run(["train", config]) == 0
+        assert [n - before for n in at_fit] == [0]
+
+    def test_crf_train_memory_per_token_is_the_encoding(self, trained_crf,
+                                                         tmp_path):
+        # the fit's int32 feature rows and its [N, L] arrays grow with the
+        # tokens; Token objects, int64 rows and an [N * K] gradient copy of
+        # each label's column no longer do
+        import tracemalloc
+
+        _, train_conll, _ = trained_crf
+        text = train_conll.read_text()
+        tokens = sum(len(item.sentence.tokens)
+                     for item in conll.read_conll(text))
+        peaks = {}
+        for copies in (1, 10, 1):
+            source = tmp_path / f"x{copies}.conll"
+            source.write_text(text * copies)
+            config = tmp_path / f"x{copies}.cfg"
+            config.write_text(
+                f"model_kind = crf\ntrain = {source}\nmax_iterations = 2\n"
+                f"model_out = {tmp_path / 'm.model'}\n")
+            tracemalloc.start()
+            try:
+                assert run(["train", config]) == 0
+                peaks[copies] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the first run imports and caches; the last one is the baseline.
+        # It reads 612 B here and 805 B when train read Token lists
+        per_token = (peaks[10] - peaks[1]) / (9 * tokens)
+        assert per_token < 700, (per_token, peaks)
+
 
 class TestImports:
     @staticmethod

@@ -9,6 +9,7 @@ from oracles import (
     brute_viterbi,
     central_difference_gradient,
     max_relative_error,
+    row_major_state_gradient,
 )
 from toy import make_tagged, toy_corpus
 from raretag import chain, crf, features
@@ -209,6 +210,66 @@ class TestDenseFeatureMatrix:
                         expected[f] += d_scores[t]
             got = crf._state_gradient(d_scores, features, F)
             assert np.array_equal(got, expected)
+
+
+class TestStateGradientGroups:
+    """The state gradient in groups of feature columns against the
+    row-major sum over all of them."""
+
+    @staticmethod
+    def wide_normals(rng, shape):
+        # magnitudes 1e-8 ... 1e8, so that another summation order shows
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, shape)
+
+    @pytest.mark.parametrize("window", [0, 1, 2, 3])
+    def test_template_rows_sum_bit_for_bit(self, window):
+        rng = np.random.default_rng(11)
+        corpus = toy_corpus(seed=11, size=40) + [
+            TaggedSentence(s.tokens, ["O"] * len(s.tokens))
+            for s in tricky_sentences(rng, 20)]
+        model = make_zero_model(list(TAGS),
+                                crf.build_feature_index(corpus, window), window)
+        features = model.index_tokens(model.feature_keys(corpus))
+        F = len(model.feature_index)
+        assert features.shape[1] == features_per_token(window)
+        for dtype in (np.intp, np.int32):
+            d_scores = self.wide_normals(rng, (len(features), len(TAGS)))
+            got = crf._state_gradient(d_scores, features.astype(dtype), F)
+            assert np.array_equal(
+                got, row_major_state_gradient(d_scores, features, F))
+
+    def test_a_name_in_several_columns_sums_to_rounding(self):
+        rng = np.random.default_rng(12)
+        names = [f"f{i}" for i in range(12)]
+        model = make_zero_model(["a", "b", "c"], {f: i for i, f in
+                                                  enumerate(names)})
+        # each token holds its names in its own order, so one name sits in
+        # different columns, and groups, from token to token
+        tokens = [list(rng.permutation(names)[:int(rng.integers(1, 13))])
+                  for _ in range(300)]
+        features = model.index_tokens(tokens)
+        d_scores = rng.normal(size=(len(tokens), 3))
+        F = len(names)
+        got = crf._state_gradient(d_scores, features, F)
+        expected = row_major_state_gradient(d_scores, features, F)
+        assert not np.array_equal(got, expected)  # the order differs
+        assert np.allclose(got, expected, rtol=1e-12, atol=0)
+
+    def test_training_on_the_encoded_corpus_writes_the_same_model(
+            self, tmp_path):
+        from raretag import model_io
+        from raretag.encoding import Encoder
+
+        corpus = toy_corpus(seed=13, size=30)
+        encoded, unknown = Encoder(TAGS, attributes=True).encode(
+            (ts.tokens, ts.tags) for ts in corpus)
+        assert unknown == []
+        saved = []
+        for sentences in (corpus, encoded):
+            model, _ = crf.train(sentences, TrainConfig(max_iterations=8))
+            saved.append(tmp_path / f"{len(saved)}.model")
+            model_io.save_model(model, saved[-1])
+        assert saved[0].read_bytes() == saved[1].read_bytes()
 
 
 class TestGradient:
@@ -448,8 +509,10 @@ class TestTrain:
         # few [N, K] and [N, L] arrays at once, and nothing of N * L * L
         corpus = toy_corpus(seed=12, size=600)
         model = make_zero_model(list(TAGS), crf.build_feature_index(corpus))
-        batch = crf._pack(model, model.index_tokens(model.feature_keys(corpus)),
-                          [ts.tags for ts in corpus])
+        batch = crf._pack(model.index_tokens(model.feature_keys(corpus)),
+                          np.array([model.label_index[t] for ts in corpus
+                                    for t in ts.tags]),
+                          [len(ts.tags) for ts in corpus])
         (N, K), (F, L) = batch.features.shape, model.state_weights.shape
         assert N >= 2000
         w = np.random.default_rng(12).normal(0, 0.5, F * L + L * L)

@@ -7,8 +7,8 @@ from raretag.embeddings import (
     EmbeddingTable,
     load_text_format,
     random_table,
-    save_text_format,
 )
+from helpers import save_text_format
 from raretag.rng import Pcg64
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import forward_sentence
 from toy import make_tagged, toy_corpus
 from raretag import cli, crf, model_io, neural
 from raretag.atomic import atomic_writer
@@ -440,7 +441,7 @@ class TestStoredTagger:
             tokens = make_tagged(case["words"], ["O"] * len(case["words"])).tokens
             expected = np.array([[float.fromhex(v) for v in row]
                                  for row in case["scores"]])
-            scores = neural.forward_sentence(model, tokens)
+            scores = forward_sentence(model, tokens)
             assert np.max(np.abs(scores - expected)) < 1e-12
             assert neural.predict(model, [tokens])[0] == case["tags"]
 

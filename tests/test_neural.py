@@ -9,6 +9,7 @@ from oracles import (
     central_difference_gradient,
     max_relative_error,
 )
+from helpers import forward_sentence
 from toy import make_tagged, toy_corpus
 from raretag import chain, neural
 from raretag.embeddings import random_table
@@ -24,7 +25,6 @@ from raretag.neural import (
     build_tagger,
     clip_gradients,
     fit,
-    forward_sentence,
     loss,
     loss_and_gradients,
     predict,
@@ -398,12 +398,17 @@ class TestEmbeddingTrainability:
 
 class TestEncoded:
     def test_sentences_select_in_order_over_one_word_list(self):
+        def sentence(words, tags):
+            return make_tagged(words, tags).tokens, tags
+
         encoder = Encoder(TAGS)
-        train, unknown = encoder.encode([(["the", "rash"], ["O", "B-SIGN"]),
-                                         (["Rash"], ["B-FOO"]),
-                                         (["the", "skin", "x"], ["O"] * 3)])
+        train, unknown = encoder.encode([
+            sentence(["the", "rash"], ["O", "B-SIGN"]),
+            sentence(["Rash"], ["B-FOO"]),
+            sentence(["the", "skin", "x"], ["O"] * 3)])
         assert unknown == ["B-FOO"]
-        val, unknown = encoder.encode([(["skin", "new"], ["O", "B-BAR"])])
+        val, unknown = encoder.encode([sentence(["skin", "new"],
+                                                ["O", "B-BAR"])])
         assert unknown == ["B-BAR"]
         assert encoder.words == ["the", "rash", "Rash", "skin", "x", "new"]
         assert train.words is val.words
@@ -421,6 +426,28 @@ class TestEncoded:
             assert part.word_ids.tolist() == train.word_ids[tokens].tolist()
             assert part.label_ids.tolist() == train.label_ids[tokens].tolist()
 
+    def test_attributes_join_as_one_encoding(self):
+        # the CRF's values: BOS and EOS are ids 0 and 1, also as tokens
+        words = [["EOS", "Rash", "the"], ["BOS"], ["rash", "x"]]
+        sentences = [make_tagged(w, ["O"] * len(w)) for w in words]
+        pairs = [(ts.tokens, ts.tags) for ts in sentences]
+        encoder = Encoder(TAGS, attributes=True)
+        first, _ = encoder.encode(pairs[:2])
+        second, _ = encoder.encode(pairs[2:])
+        assert encoder.words == ["BOS", "EOS", "eos", "X", "Rash", "rash",
+                                 "the", "bos", "x"]
+        assert first.values.tolist() == [[1, 2, 2, 3], [4, 5, 5, 3],
+                                         [6, 6, 6, 3], [0, 7, 7, 3]]
+        assert first.word_ids.tolist() == [1, 4, 6, 0]
+        whole, _ = Encoder(TAGS, attributes=True).encode(pairs)
+        joined = first + second
+        for name in ("word_ids", "label_ids", "lengths", "values"):
+            assert getattr(joined, name).tolist() == getattr(whole,
+                                                             name).tolist()
+        assert joined[[2]].values.tolist() == second.values.tolist()
+        with pytest.raises(ValueError, match="one Encoder"):
+            first + whole
+
     def test_unknown_gold_label_is_named(self):
         tagger, corpus = small_tagger(HEAD_CRF)
         bad = make_tagged(["the", "rash"], ["O", "B-FOO"])
@@ -432,7 +459,7 @@ class TestEncoded:
     def test_a_corpus_over_another_label_set_is_refused(self):
         tagger, corpus = small_tagger(HEAD_CRF)
         other, _ = Encoder(TAGS[::-1]).encode(
-            ([t.surface for t in ts.tokens], ts.tags) for ts in corpus)
+            (ts.tokens, ts.tags) for ts in corpus)
         with pytest.raises(ValueError, match="another label set"):
             loss(tagger, other)
 
@@ -478,7 +505,7 @@ class TestOutOfVocabulary:
         if encoded:  # as cli train reads them: one word list for both
             encoder = Encoder(TAGS)
             train_split, val_split = (encoder.encode(
-                ([t.surface for t in ts.tokens], ts.tags) for ts in split)[0]
+                (ts.tokens, ts.tags) for ts in split)[0]
                 for split in (train_split, val_split))
         tagger = build_tagger(train_split, table, head_kind=head_kind,
                               hidden_dim=4, seed=3)

@@ -182,7 +182,8 @@ def test_conll_files(tmp_path):
     for _ in range(100):
         data = with_bad_byte(rng, conll_case(rng))
         path.write_bytes(data)
-        outcome(lambda: cli._read_tagged_conll(path, need_tags=False),
+        outcome(lambda: [item for items in cli._read_passes(path)
+                         for item in items],
                 conll.ConllParseError, data)
 
 
