@@ -2,8 +2,9 @@
 
 Training is configured by a flat ``key = value`` text file (``#`` starts a
 comment). Its training settings, and their defaults, are the fields of
-``crf.TrainConfig`` (``crf``) or of ``settings.FitConfig`` plus the embedding
-and history keys (``bilstm``, ``bilstm-crf``); keys that are unknown or that
+``settings.TrainConfig`` (``crf``) or of ``settings.FitConfig`` plus the
+embedding and history keys (``bilstm``, ``bilstm-crf``), so a config is
+read and checked before any model code loads; keys that are unknown or that
 the chosen kind does not use are rejected before any work starts. All
 outputs are UTF-8. Models, manifests, histories and CoNLL files are written
 atomically; ``gen-synthetic`` writes its corpus files directly, not atomically.
@@ -33,7 +34,7 @@ from pathlib import Path
 
 from . import conll, iob
 from .atomic import atomic_write_text, atomic_writer, read_utf8
-from .settings import FitConfig
+from .settings import FitConfig, TrainConfig
 
 CONFIG_DIR_ENV = "RARETAG_CONFIG_DIR"
 
@@ -80,11 +81,7 @@ def _parse_bool(raw: str) -> bool:
 
 def _config_class(kind: str):
     """The dataclass whose fields are the training settings of ``kind``."""
-    if kind != "crf":
-        return FitConfig
-    from .crf import TrainConfig
-
-    return TrainConfig
+    return TrainConfig if kind == "crf" else FitConfig
 
 
 def _kind_keys(kind: str) -> dict[str, type]:
@@ -212,15 +209,11 @@ def _read_encoded_conll(encoder, path: str | Path):
     return corpus, unknown
 
 
-def _check_labels(tag_lists, label_set: list[str], path) -> None:
-    known = set(label_set)
-    unknown = sorted({
-        t for tags in tag_lists if tags for t in tags if t not in known
-    })
+def _check_labels(unknown, path) -> None:
+    """Name the tags outside the label set, once each and sorted."""
     if unknown:
-        raise CliError(
-            f"{path}: tags not in the model's label set: {', '.join(unknown)}"
-        )
+        raise CliError(f"{path}: tags not in the model's label set: "
+                       f"{', '.join(sorted(set(unknown)))}")
 
 
 # ---------------------------------------------------------------- convert
@@ -304,8 +297,8 @@ def cmd_train(args) -> int:
     train, train_unknown = _read_encoded_conll(encoder, cfg["train"])
     val, val_unknown = (_read_encoded_conll(encoder, cfg["validation"])
                         if "validation" in cfg else (None, []))
-    _check_labels([train_unknown], iob.TAGS, cfg["train"])
-    _check_labels([val_unknown], iob.TAGS, cfg.get("validation"))
+    _check_labels(train_unknown, cfg["train"])
+    _check_labels(val_unknown, cfg.get("validation"))
     started = time.monotonic()
     if kind == "crf":
         # default hyperparameters: train on train+validation together
@@ -414,7 +407,8 @@ def cmd_evaluate(args) -> int:
         gold += [item.tags for item in items]
         preds += model.tag([item.sentence for item in items], args.constrained)
     _check_tagged(gold, args.conll)
-    _check_labels(gold, model.label_set, args.conll)
+    _check_labels({t for tags in gold for t in tags} - set(model.label_set),
+                  args.conll)
     if args.level == "token":
         report = metrics.token_level(gold, preds)
     else:

@@ -8,10 +8,11 @@ transition counts, in O(N * (K + L)) memory for N tokens of K features
 and L labels. Unseen test-time features read a zero sentinel weight row,
 never grown into the model.
 
-Training and tagging index features as int64 keys (``features.window_keys``)
-and never format a feature string; training keys an ``encoding.Encoded``
-corpus and fits on int32 rows. The functions that take each token's
-feature names are the reference that the tests check the keys against.
+Training and tagging never format a feature string: a feature is an int64
+key (``features.window_keys``) into the model's dense key-to-row table.
+Training keys an ``encoding.Encoded`` corpus and fits on int32 rows;
+tagging keys, indexes and decodes each pass as one array. The functions
+that take each token's feature names are the tests' reference for the keys.
 """
 
 from __future__ import annotations
@@ -24,34 +25,15 @@ import numpy as np
 
 from . import chain, iob, lbfgs
 from .features import (  # noqa: F401 (sentence_features is traced here)
-    DEFAULT_WINDOW, key_names, sentence_features, sentence_keys,
+    features_per_token, key_names, sentence_features, sentence_keys,
     template_keys,
 )
 from .iob import TaggedSentence
-from .settings import require_finite
+from .settings import DEFAULT_WINDOW, TrainConfig
 from .tokenizer import Sentence
 
 if TYPE_CHECKING:
     from .encoding import Encoded
-
-
-@dataclass
-class TrainConfig:
-    l2_coefficient: float = 1.0
-    l1_coefficient: float = 0.0
-    max_iterations: int = 100
-    convergence_tol: float = 1e-5
-    lbfgs_memory: int = 6
-    window: int = DEFAULT_WINDOW
-
-    def __post_init__(self):
-        require_finite(self)
-        if min(self.l2_coefficient, self.l1_coefficient) < 0:
-            raise ValueError("regularization coefficients must be >= 0")
-        if self.max_iterations < 0 or self.lbfgs_memory < 1:
-            raise ValueError("invalid iteration/memory settings")
-        if self.window < 0:
-            raise ValueError(f"window must be >= 0, got {self.window}")
 
 
 def _scores(state: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -85,11 +67,9 @@ class CrfModel:
     transition_weights: np.ndarray  # [num_labels, num_labels]
     window: int = DEFAULT_WINDOW
     label_index: dict[str, int] = field(init=False)
-    # attribute value ids, and the template features' sorted keys and rows,
-    # from _key_table
+    # attribute value ids and each key's row over them, from _key_table
     _values: dict[str, int] = field(init=False, repr=False, compare=False)
-    _keys: np.ndarray = field(init=False, repr=False, compare=False)
-    _key_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         F, L = len(self.feature_index), len(self.label_set)
@@ -113,16 +93,17 @@ class CrfModel:
         self._key_table()
 
     def _key_table(self) -> None:
-        """Key every feature name that the window's templates emit; names
-        of any other shape are matched by name only."""
+        """Key every feature name that the window's templates emit, in a
+        table of every key of the window's K features over the V values and
+        the unseen value: a name's row at its key, the sentinel row F at
+        every other. Names of any other shape are matched by name only."""
         self._values, keys, positions = template_keys(self.feature_index,
                                                       self.window)
-        rows = np.fromiter(self.feature_index.values(), np.intp,
-                           len(self.feature_index))[positions]
-        order = np.argsort(keys)
-        # a sentinel above every key keeps each search inside the array
-        self._keys = np.append(keys[order], np.iinfo(np.int64).max)
-        self._key_rows = np.append(rows[order], len(self.feature_index))
+        F = len(self.feature_index)
+        self._rows = np.full(features_per_token(self.window)
+                             * (len(self._values) + 1), F, np.int32)
+        self._rows[keys] = np.fromiter(self.feature_index.values(), np.int32,
+                                       F)[positions]
 
     def feature_keys(self, sentences: list[Sentence]) -> np.ndarray:
         """The ``features.window_keys`` of the sentences over the model's
@@ -135,15 +116,12 @@ class CrfModel:
         ``feature_keys`` or from their feature names, padded to the longest;
         unseen features and padding read the zero sentinel row F."""
         F = len(self.feature_index)
-        if not isinstance(token_features, np.ndarray):
-            width = max(map(len, token_features), default=0)
-            rows = [[self.feature_index.get(f, F) for f in feats]
-                    + [F] * (width - len(feats)) for feats in token_features]
-            return np.array(rows, np.intp).reshape(len(rows), width)
-        found = self._keys.searchsorted(token_features)
-        rows = self._key_rows[found]
-        rows[self._keys[found] != token_features] = F
-        return rows
+        if isinstance(token_features, np.ndarray):
+            return self._rows.take(token_features)
+        width = max(map(len, token_features), default=0)
+        rows = [[self.feature_index.get(f, F) for f in feats]
+                + [F] * (width - len(feats)) for feats in token_features]
+        return np.array(rows, np.intp).reshape(len(rows), width)
 
     def state_scores(self, indexed: np.ndarray) -> np.ndarray:
         return _scores(self.state_weights, indexed)
@@ -151,14 +129,9 @@ class CrfModel:
     def tag(self, sentences: list[Sentence],
             constrained: bool = False) -> list[list[str]]:
         """Tags of each sentence, decoded in packed passes of at most
-        ``chain.PASS_SENTENCES`` sentences, each keyed at once."""
-        tags = []
-        for part in chain.passes(sentences):
-            keys = self.feature_keys(part)
-            ends = np.cumsum([len(s.tokens) for s in part]).tolist()
-            tags += viterbi(self, [keys[end - len(s.tokens) : end]
-                                   for s, end in zip(part, ends)], constrained)
-        return tags
+        ``chain.PASS_SENTENCES`` sentences, one ``viterbi`` call each."""
+        return [tags for part in chain.passes(sentences)
+                for tags in viterbi(self, part, constrained)]
 
 
 def make_zero_model(
@@ -329,18 +302,18 @@ def decode(scores: np.ndarray, transitions: np.ndarray, label_set: list[str],
 
 
 def viterbi(
-    model: CrfModel, sentences: list[np.ndarray] | list[list[list[str]]],
+    model: CrfModel, sentences: list[Sentence] | list[list[list[str]]],
     constrained: bool = False
 ) -> list[list[str]]:
-    """Highest-scoring tag sequence of each sentence, given as the [n, K]
-    ``feature_keys`` of its tokens or as their feature names; the sentences
-    are scored and decoded as one pass."""
-    if not all(len(sentence) for sentence in sentences):
+    """Highest-scoring tag sequence of each sentence, given as a
+    ``Sentence`` or as its tokens' feature names; the sentences are keyed,
+    scored and decoded as one pass."""
+    keyed = bool(sentences) and isinstance(sentences[0], Sentence)
+    lengths = [len(s.tokens) if keyed else len(s) for s in sentences]
+    if not all(lengths):
         raise ValueError("cannot decode an empty sentence")
-    if sentences and isinstance(sentences[0], np.ndarray):
-        token_features = np.concatenate(sentences)
-    else:
-        token_features = [feats for sentence in sentences for feats in sentence]
-    scores = model.state_scores(model.index_tokens(token_features))
-    return decode(scores, model.transition_weights, model.label_set,
-                  [len(sentence) for sentence in sentences], constrained)
+    scores = model.state_scores(model.index_tokens(
+        model.feature_keys(sentences) if keyed
+        else [feats for sentence in sentences for feats in sentence]))
+    return decode(scores, model.transition_weights, model.label_set, lengths,
+                  constrained)

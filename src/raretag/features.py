@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .settings import DEFAULT_WINDOW
 from .tokenizer import Sentence, Token
 
 BOS = "BOS"
 EOS = "EOS"
-
-DEFAULT_WINDOW = 2
 
 # name prefixes of the four attributes, in template order
 ATTRIBUTES = ("w", "wl", "lemma", "pos")

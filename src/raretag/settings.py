@@ -1,8 +1,8 @@
-"""Neural training settings, free of numpy so that the CLI can read a
-config of any model kind without loading the BiLSTM code.
+"""Training settings of both model kinds, free of numpy so that the CLI
+can read a config of any kind without loading the model code.
 
-``neural.FitConfig`` is this ``FitConfig``; the CRF's settings are
-``crf.TrainConfig``.
+``crf.TrainConfig`` is this ``TrainConfig``, and ``neural.FitConfig`` this
+``FitConfig``; ``features.DEFAULT_WINDOW`` is this ``DEFAULT_WINDOW``.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+DEFAULT_WINDOW = 2  # tokens on each side that the CRF's features read
+
 
 def require_finite(config) -> None:
     """Reject a settings dataclass with a nan or infinite field."""
@@ -18,6 +20,25 @@ def require_finite(config) -> None:
         value = getattr(config, setting.name)
         if not math.isfinite(value):
             raise ValueError(f"{setting.name} must be finite, got {value}")
+
+
+@dataclass
+class TrainConfig:
+    l2_coefficient: float = 1.0
+    l1_coefficient: float = 0.0
+    max_iterations: int = 100
+    convergence_tol: float = 1e-5
+    lbfgs_memory: int = 6
+    window: int = DEFAULT_WINDOW
+
+    def __post_init__(self):
+        require_finite(self)
+        if min(self.l2_coefficient, self.l1_coefficient) < 0:
+            raise ValueError("regularization coefficients must be >= 0")
+        if self.max_iterations < 0 or self.lbfgs_memory < 1:
+            raise ValueError("invalid iteration/memory settings")
+        if self.window < 0:
+            raise ValueError(f"window must be >= 0, got {self.window}")
 
 
 @dataclass

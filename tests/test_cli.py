@@ -1021,8 +1021,8 @@ class TestStreaming:
     @pytest.mark.parametrize("kind", ["crf", "bilstm-crf"])
     def test_train_names_the_fault_of_reading_both_files_first(
             self, kind, long_conll, tmp_path, capsys, monkeypatch):
-        # BiLSTM train encodes its files pass by pass, CRF train reads them
-        # whole; both name the same fault, and before any fit
+        # both kinds encode their files pass by pass; both name the same
+        # fault, and before any fit
         def never(*args, **kwargs):
             raise AssertionError("a fit started")
 
@@ -1305,7 +1305,7 @@ class TestImports:
     def test_tagging_commands_never_load_brat_or_synthetic(
             self, trained_crf, trained_bilstm_crf, tmp_path):
         # only convert reads Brat files and only gen-synthetic writes them;
-        # only evaluate scores, with metrics; only BiLSTM training encodes
+        # only evaluate scores, with metrics; only training encodes
         _, train_conll, heldout_conll = trained_crf
         crf_config = tmp_path / "crf.cfg"
         crf_config.write_text(f"model_kind = crf\ntrain = {train_conll}\n"

@@ -135,25 +135,32 @@ class TestFeatureKeys:
                                    for feats in sentence_features(s, window)
                                    for f in feats))
         # a model that holds part of them, in random order, so that tagging
-        # meets unseen features and unseen values
-        held = [names[i] for i in rng.permutation(len(names))
+        # meets unseen features and unseen values; one that holds no
+        # template-shaped name, so that every key reads the sentinel; and
+        # one that holds them all
+        part = [names[i] for i in rng.permutation(len(names))
                 if rng.random() < 0.6]
-        model = make_zero_model(["O"], {f: i for i, f in enumerate(held)},
-                                window)
         tagged = tricky_sentences(rng, 20)
-        keys = model.feature_keys(tagged)
         tokens = sum(len(s.tokens) for s in tagged)
-        assert keys.shape == (tokens, features_per_token(window))
-        reference = model.index_tokens(
-            [feats for s in tagged for feats in sentence_features(s, window)])
-        indexed = model.index_tokens(keys)
-        assert indexed.shape == keys.shape == reference.shape
-        # unseen features read the sentinel row, one past the model's rows
-        sentinel = len(held)
-        assert [r[r != sentinel].tolist() for r in indexed] == [
-            r[r != sentinel].tolist() for r in reference]
-        kept = np.count_nonzero(indexed != sentinel)
-        assert 0 < kept < keys.size
+        kept = []
+        for held in (part, ["f0"], names):
+            model = make_zero_model(["O"], {f: i for i, f in enumerate(held)},
+                                    window)
+            keys = model.feature_keys(tagged)
+            assert keys.shape == (tokens, features_per_token(window))
+            reference = model.index_tokens(
+                [feats for s in tagged
+                 for feats in sentence_features(s, window)])
+            indexed = model.index_tokens(keys)
+            assert indexed.shape == keys.shape == reference.shape
+            # unseen features read the sentinel row, one past the model's rows
+            sentinel = len(held)
+            assert [r[r != sentinel].tolist() for r in indexed] == [
+                r[r != sentinel].tolist() for r in reference]
+            kept.append(np.count_nonzero(indexed != sentinel))
+            assert kept[-1] == np.count_nonzero(reference != sentinel)
+        assert 0 < kept[0] < keys.size
+        assert kept[1] == 0
 
     @pytest.mark.parametrize("window", [0, 1, 2, 3])
     def test_training_index_is_the_first_seen_feature_names(self, window):
@@ -399,6 +406,8 @@ class TestViterbi:
             assert model.tag(sentences, constrained) == [
                 crf.viterbi(model, [sentence_features(s)], constrained)[0]
                 for s in sentences]
+            assert crf.viterbi(model, sentences, constrained) == crf.viterbi(
+                model, [sentence_features(s) for s in sentences], constrained)
         assert model.tag([]) == []
 
 
