@@ -1,40 +1,44 @@
 """Command-line pipeline: convert, train, predict, evaluate, gen-synthetic.
 
 Training is configured by a flat ``key = value`` text file (``#`` starts a
-comment). Its training settings, and their defaults, are the fields of
-``settings.TrainConfig`` (``crf``) or of ``settings.FitConfig`` plus the
-embedding and history keys (``bilstm``, ``bilstm-crf``), so a config is
-read and checked before any model code loads; keys that are unknown or that
-the chosen kind does not use are rejected before any work starts. All
-outputs are UTF-8. Models, manifests, histories and CoNLL files are written
-atomically; ``gen-synthetic`` writes its corpus files directly, not atomically.
+comment). ``KINDS`` names each model kind once: the module whose
+``train_run`` trains it (``crf``, or ``neural`` for ``bilstm`` and
+``bilstm-crf``), the ``settings`` dataclass whose fields and defaults are
+its training keys (``TrainConfig`` or ``FitConfig``), its other keys (the
+neural embedding and history keys) and the keys it requires. A config is
+read and checked against it before any file is read or any model code
+loads. All outputs are UTF-8. Models, manifests, histories and CoNLL files
+are written atomically; ``gen-synthetic`` writes its corpus files directly.
 ``RARETAG_CONFIG_DIR`` provides a default directory for relative config
-paths. The numpy-backed modules are imported by the commands that use
-them, so ``convert`` and ``gen-synthetic`` start without numpy, and CRF
-runs never load the BiLSTM code; ``brat``, ``synthetic`` and ``metrics``
-are imported only by the commands that use them. ``predict`` and
-``evaluate`` stream their CoNLL input: they read, tag and write (or score)
-one ``chain.PASS_SENTENCES`` pass at a time, so they hold one pass of its
-tokens, not the whole file. ``train`` streams its train and validation
-files the same way into one ``encoding.Encoded`` corpus each, as int
-arrays (word and label ids, and for the CRF each token's four attribute
-value ids), so the fit holds no token object.
+paths. The numpy-backed modules, ``brat``, ``synthetic`` and ``metrics``
+are imported by the commands that use them, so ``convert`` and
+``gen-synthetic`` start without numpy, and CRF runs never load the BiLSTM
+code. ``predict`` and ``evaluate`` stream their CoNLL input: they read,
+tag and write (or score) one ``chain.PASS_SENTENCES`` pass at a time, so
+they hold one pass of its tokens, not the whole file. ``train`` streams its
+train and validation files the same way into one ``encoding.Encoded``
+corpus each, as int arrays (word and label ids, and for the CRF each
+token's four attribute value ids), so the fit holds no token object.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import math
 import os
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 from . import conll, iob
 from .atomic import atomic_write_text, atomic_writer, read_utf8
-from .settings import FitConfig, TrainConfig
+from .settings import (
+    DEFAULT_OOV_POLICY, EMBEDDING_DIM, OOV_POLICIES, FitConfig, TrainConfig,
+)
 
 CONFIG_DIR_ENV = "RARETAG_CONFIG_DIR"
 
@@ -49,25 +53,27 @@ class CliError(Exception):
 
 # ---------------------------------------------------------------- config
 
-_COMMON_KEYS = {
-    "model_kind": str,
-    "train": str,
-    "validation": str,
-    "model_out": str,
-    "manifest_out": str,
-}
+_COMMON_KEYS = dict.fromkeys(
+    ("model_kind", "train", "validation", "model_out", "manifest_out"), str)
 
-# neural settings that are not fields of FitConfig
-_NEURAL_EXTRA_KEYS = {
-    "embedding": str,
-    "embedding_dim": int,
-    "oov_policy": str,
-    "train_embeddings": bool,
-    "history_out": str,
-}
-EMBEDDING_DIM = 50  # of an ``embedding = random`` table
 
-MODEL_KINDS = ("crf", "bilstm", "bilstm-crf")
+class Kind(NamedTuple):  # what a model kind reads, and where it trains
+    module: str  # whose ``train_run`` trains the kind
+    settings: type  # the dataclass whose fields are its training settings
+    extra_keys: dict[str, type]  # its config keys besides those fields
+    required: dict[str, str]  # the keys it requires, each with its message
+    attributes: bool  # whether training interns the CRF's four attributes
+
+
+_NEURAL = Kind(
+    "neural", FitConfig,
+    {"embedding": str, "embedding_dim": int, "oov_policy": str,
+     "train_embeddings": bool, "history_out": str},
+    {"validation": "a 'validation' path",
+     "embedding": "'embedding' (either 'random' or a vector file path)"},
+    False)
+KINDS = {"crf": Kind("crf", TrainConfig, {}, {}, True),
+         "bilstm": _NEURAL, "bilstm-crf": _NEURAL}
 
 
 def _parse_bool(raw: str) -> bool:
@@ -79,22 +85,17 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _config_class(kind: str):
-    """The dataclass whose fields are the training settings of ``kind``."""
-    return TrainConfig if kind == "crf" else FitConfig
-
-
-def _kind_keys(kind: str) -> dict[str, type]:
+def _kind_keys(kind: Kind) -> dict[str, type]:
     """The keys a config of ``kind`` may set besides the common ones; a
     field is cast as the type of its default."""
-    keys = {f.name: type(f.default)
-            for f in dataclasses.fields(_config_class(kind))}
-    return keys if kind == "crf" else {**keys, **_NEURAL_EXTRA_KEYS}
+    return {f.name: type(f.default)
+            for f in dataclasses.fields(kind.settings)} | kind.extra_keys
 
 
 def parse_config(text: str) -> dict:
     """Parse flat ``key = value`` lines into a typed dict."""
-    schema = {**_COMMON_KEYS, **_kind_keys("crf"), **_kind_keys("bilstm")}
+    schema = {key: cast for kind in KINDS.values()
+              for key, cast in _kind_keys(kind).items()} | _COMMON_KEYS
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -119,25 +120,23 @@ def parse_config(text: str) -> dict:
 
 def validate_run_config(values: dict) -> dict:
     kind = values.get("model_kind")
-    if kind not in MODEL_KINDS:
-        raise CliError(
-            f"model_kind must be one of {', '.join(MODEL_KINDS)}; got {kind!r}"
-        )
-    if "train" not in values:
-        raise CliError("config missing required key 'train'")
-    if "model_out" not in values:
-        raise CliError("config missing required key 'model_out'")
-    if kind != "crf":
-        if "validation" not in values:
-            raise CliError(f"{kind} training requires a 'validation' path")
-        if "embedding" not in values:
-            raise CliError(f"{kind} training requires 'embedding' "
-                           "(either 'random' or a vector file path)")
-    wrong = values.keys() - _COMMON_KEYS.keys() - _kind_keys(kind).keys()
+    if kind not in KINDS:
+        raise CliError(f"model_kind must be one of {', '.join(KINDS)}; got {kind!r}")
+    for key in ("train", "model_out"):
+        if key not in values:
+            raise CliError(f"config missing required key '{key}'")
+    for key, what in KINDS[kind].required.items():
+        if key not in values:
+            raise CliError(f"{kind} training requires {what}")
+    wrong = values.keys() - _COMMON_KEYS.keys() - _kind_keys(KINDS[kind]).keys()
     if wrong:
         raise CliError(
             f"keys not valid for model_kind={kind}: {', '.join(sorted(wrong))}"
         )
+    if values.get("embedding_dim", EMBEDDING_DIM) < 1:
+        raise CliError(f"embedding_dim must be >= 1, got {values['embedding_dim']}")
+    if values.get("oov_policy", DEFAULT_OOV_POLICY) not in OOV_POLICIES:
+        raise CliError(f"unknown oov_policy {values['oov_policy']!r}")
     return values
 
 
@@ -259,89 +258,33 @@ def cmd_convert(args) -> int:
 
 # ---------------------------------------------------------------- train
 
-def _build_embedding_source(cfg: dict, train, seed: int):
-    from . import embeddings
-
-    source = cfg["embedding"]
-    policy = {"oov_policy": cfg["oov_policy"]} if "oov_policy" in cfg else {}
-    if source == "random":
-        return embeddings.random_table(
-            train.vocabulary(), cfg.get("embedding_dim", EMBEDDING_DIM), seed,
-            **policy
-        )
-    if not Path(source).exists():
-        raise CliError(f"embedding file not found: {source}")
-    table = embeddings.load_text_format(source, seed=seed, **policy)
-    if cfg.get("embedding_dim", table.dim) != table.dim:
-        raise CliError(f"embedding_dim = {cfg['embedding_dim']}, but {source} "
-                       f"holds {table.dim}-wide vectors")
-    return table
-
-
 def cmd_train(args) -> int:
-    from . import crf, model_io
+    from . import model_io
     from .encoding import Encoder
 
     config_path = _resolve_config_path(args.config)
     cfg = validate_run_config(parse_config(read_utf8(config_path, CliError)))
-    kind = cfg["model_kind"]
-    config_class = _config_class(kind)
-    fields = {f.name for f in dataclasses.fields(config_class)}
-    settings = config_class(**{k: v for k, v in cfg.items() if k in fields})
+    kind = KINDS[cfg["model_kind"]]
+    fields = {f.name for f in dataclasses.fields(kind.settings)}
+    settings = kind.settings(**{k: v for k, v in cfg.items() if k in fields})
     for key in ("train", "validation"):
         if key in cfg and not Path(cfg[key]).exists():
             raise CliError(f"{key} file not found: {cfg[key]}")
 
-    history_csv = None
-    encoder = Encoder(iob.TAGS, attributes=kind == "crf")
+    encoder = Encoder(iob.TAGS, attributes=kind.attributes)
     train, train_unknown = _read_encoded_conll(encoder, cfg["train"])
     val, val_unknown = (_read_encoded_conll(encoder, cfg["validation"])
                         if "validation" in cfg else (None, []))
     _check_labels(train_unknown, cfg["train"])
     _check_labels(val_unknown, cfg.get("validation"))
     started = time.monotonic()
-    if kind == "crf":
-        # default hyperparameters: train on train+validation together
-        model, opt = crf.train(train if val is None else train + val,
-                               settings)
-        final_metrics = {
-            "objective": opt.fun,
-            "iterations": opt.iterations,
-            "converged": opt.converged,
-            "stop_reason": opt.message,
-            "features": len(model.feature_index),
-            "objective_evaluations": opt.evaluations,
-            "objective_trace": opt.trace,
-        }
-    else:
-        from . import neural
-
-        source = _build_embedding_source(cfg, train, settings.seed)
-        head = neural.HEAD_CRF if kind == "bilstm-crf" else neural.HEAD_SOFTMAX
-        tagger = neural.build_tagger(
-            train,
-            source,
-            head_kind=head,
-            hidden_dim=settings.hidden_dim,
-            seed=settings.seed,
-            train_embeddings=cfg.get("train_embeddings"),
-        )
-        model, history = neural.fit(tagger, train, val, settings)
-        history_csv = history.to_csv()
-        final_metrics = {
-            "best_epoch": history.best_epoch,
-            "stopped_epoch": history.stopped_epoch,
-            "best_val_loss": min(history.val_loss) if history.val_loss else None,
-            "embedding_oov_rate": source.oov_rate(),
-            "max_gradient_norm": history.max_gradient_norm,
-            "clipped_batches": history.clipped_batches,
-        }
+    entry = importlib.import_module(f".{kind.module}", __package__).train_run
+    model, final_metrics, files = entry(train, val, settings, options=cfg)
 
     model_out = Path(cfg["model_out"])
     model_io.save_model(model, model_out)
-    if history_csv is not None:
-        history_out = Path(cfg.get("history_out", str(model_out) + ".history.csv"))
-        atomic_write_text(history_out, history_csv)
+    for key, (suffix, text) in files.items():
+        atomic_write_text(Path(cfg.get(key, str(model_out) + suffix)), text)
     manifest = {
         "command": "train",
         "config": cfg,
@@ -352,7 +295,7 @@ def cmd_train(args) -> int:
     }
     manifest_out = Path(cfg.get("manifest_out", str(model_out) + ".manifest.json"))
     atomic_write_text(manifest_out, json.dumps(manifest, indent=2) + "\n")
-    print(f"trained {kind} model -> {model_out}")
+    print(f"trained {cfg['model_kind']} model -> {model_out}")
     return EXIT_OK
 
 

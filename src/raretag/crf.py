@@ -276,6 +276,26 @@ def train(
     return CrfModel(labels, feature_index, state, trans, config.window), result
 
 
+def train_run(corpus: Encoded, validation: Encoded | None,
+              config: TrainConfig, progress=None, options=None):
+    """The ``train`` command's entry: the model fitted on both splits (the
+    CRF selects nothing on validation), its manifest metrics and no extra
+    file. ``options``, the run's config, holds nothing else it reads."""
+    # no hook, no argument: an unhooked call is ``train(sentences, config)``
+    hook = {} if progress is None else {"progress": progress}
+    model, opt = train(corpus if validation is None else corpus + validation,
+                       config, **hook)
+    return model, {
+        "objective": opt.fun,
+        "iterations": opt.iterations,
+        "converged": opt.converged,
+        "stop_reason": opt.message,
+        "features": len(model.feature_index),
+        "objective_evaluations": opt.evaluations,
+        "objective_trace": opt.trace,
+    }, {}
+
+
 @functools.lru_cache(maxsize=8)
 def _masks(label_set: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """``iob.decode_masks`` as read-only arrays, built once per label set."""

@@ -28,14 +28,12 @@ import numpy as np
 
 from . import rng
 from .atomic import read_utf8
+from .settings import DEFAULT_OOV_POLICY, OOV_POLICIES
 
 try:
     from _blake2 import blake2b  # hashlib.blake2b, without libcrypto
 except ImportError:  # pragma: no cover - a CPython built without it
     from hashlib import blake2b
-
-OOV_POLICIES = ("zeros", "random_seeded", "mean_vector")
-DEFAULT_OOV_POLICY = "random_seeded"
 
 OOV_SCALE = 0.25  # uniform(-0.25, 0.25), also used for random tables
 

@@ -27,16 +27,17 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import chain, rng
+from . import chain, embeddings, rng
 from .crf import decode
 from .embeddings import EmbeddingTable
 from .iob import TAGS, TaggedSentence
 from .lstm import LstmCell, backprop_sequence, run_sequence
-from .settings import FitConfig
+from .settings import EMBEDDING_DIM, FitConfig
 from .tokenizer import Sentence, Token
 
 if TYPE_CHECKING:
@@ -466,3 +467,37 @@ def predict(
     transitions = np.zeros((L, L)) if tagger.transitions is None else tagger.transitions
     return decode(raw, transitions, tagger.label_set,
                   [len(tokens) for tokens in sentences], constrained)
+
+
+def train_run(corpus: Encoded, validation: Encoded, config: FitConfig,
+              progress=None, options=None):
+    """The ``train`` command's entry for both neural kinds: ``options``, the
+    run's config, names the kind and the embedding source. Returns the
+    tagger, its manifest metrics and its history CSV by its path's key."""
+    source = options["embedding"]
+    policy = {"oov_policy": options["oov_policy"]} if "oov_policy" in options else {}
+    if source == "random":
+        table = embeddings.random_table(
+            corpus.vocabulary(), options.get("embedding_dim", EMBEDDING_DIM),
+            config.seed, **policy)
+    elif not Path(source).exists():
+        raise ValueError(f"embedding file not found: {source}")
+    else:
+        table = embeddings.load_text_format(source, seed=config.seed, **policy)
+        if options.get("embedding_dim", table.dim) != table.dim:
+            raise ValueError(f"embedding_dim = {options['embedding_dim']}, but "
+                             f"{source} holds {table.dim}-wide vectors")
+    head = HEAD_CRF if options["model_kind"] == "bilstm-crf" else HEAD_SOFTMAX
+    tagger = build_tagger(corpus, table, head_kind=head,
+                          hidden_dim=config.hidden_dim, seed=config.seed,
+                          train_embeddings=options.get("train_embeddings"))
+    hook = {} if progress is None else {"progress": progress}
+    model, history = fit(tagger, corpus, validation, config, **hook)
+    return model, {
+        "best_epoch": history.best_epoch,
+        "stopped_epoch": history.stopped_epoch,
+        "best_val_loss": min(history.val_loss) if history.val_loss else None,
+        "embedding_oov_rate": table.oov_rate(),
+        "max_gradient_norm": history.max_gradient_norm,
+        "clipped_batches": history.clipped_batches,
+    }, {"history_out": (".history.csv", history.to_csv())}

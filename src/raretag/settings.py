@@ -2,7 +2,8 @@
 can read a config of any kind without loading the model code.
 
 ``crf.TrainConfig`` is this ``TrainConfig``, and ``neural.FitConfig`` this
-``FitConfig``; ``features.DEFAULT_WINDOW`` is this ``DEFAULT_WINDOW``.
+``FitConfig``; ``features.DEFAULT_WINDOW`` is this ``DEFAULT_WINDOW``, and
+``embeddings.OOV_POLICIES`` and ``DEFAULT_OOV_POLICY`` are these.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ import math
 from dataclasses import dataclass
 
 DEFAULT_WINDOW = 2  # tokens on each side that the CRF's features read
+EMBEDDING_DIM = 50  # of an ``embedding = random`` table
+OOV_POLICIES = ("zeros", "random_seeded", "mean_vector")
+DEFAULT_OOV_POLICY = "random_seeded"
 
 
 def require_finite(config) -> None:

@@ -98,25 +98,32 @@ class TestConfig:
             parse_config("model_kind = crf\nseed = banana\n")
 
     def test_kind_specific_keys_validated(self):
-        with pytest.raises(CliError, match="not valid for model_kind=crf"):
-            validate_run_config({
-                "model_kind": "crf", "train": "x", "model_out": "m",
-                "patience": 4,
-            })
-        with pytest.raises(CliError, match="not valid for model_kind=bilstm"):
-            validate_run_config({
-                "model_kind": "bilstm", "train": "x", "model_out": "m",
-                "validation": "v", "embedding": "random",
-                "l2_coefficient": 0.5,
-            })
-        for key, value in (("embedding", "random"), ("embedding_dim", 8),
-                           ("oov_policy", "zeros"), ("history_out", "h.csv"),
-                           ("seed", 1)):
+        # every key that only other kinds read, listed by hand
+        crf_rejects = (
+            ("learning_rate", 0.01), ("max_epochs", 2), ("patience", 4),
+            ("batch_size", 8), ("hidden_dim", 5), ("seed", 1),
+            ("gradient_clip_norm", 1.0), ("embedding", "random"),
+            ("embedding_dim", 8), ("oov_policy", "zeros"),
+            ("train_embeddings", True), ("history_out", "h.csv"),
+        )
+        neural_rejects = (
+            ("l2_coefficient", 0.5), ("l1_coefficient", 0.1),
+            ("max_iterations", 5), ("convergence_tol", 1e-3),
+            ("lbfgs_memory", 3), ("window", 1),
+        )
+        pairs = [("crf", key, value) for key, value in crf_rejects]
+        pairs += [(kind, key, value) for kind in ("bilstm", "bilstm-crf")
+                  for key, value in neural_rejects]
+        assert len(pairs) == 24
+        required = {"crf": {},
+                    "bilstm": {"validation": "v", "embedding": "random"},
+                    "bilstm-crf": {"validation": "v", "embedding": "random"}}
+        for kind, key, value in pairs:
             with pytest.raises(CliError,
-                               match=f"not valid for model_kind=crf: {key}$"):
+                               match=f"not valid for model_kind={kind}: {key}$"):
                 validate_run_config({
-                    "model_kind": "crf", "train": "x", "model_out": "m",
-                    key: value,
+                    "model_kind": kind, "train": "x", "model_out": "m",
+                    **required[kind], key: value,
                 })
 
     def test_readme_defaults_are_the_dataclass_defaults(self):
@@ -155,12 +162,17 @@ class TestConfig:
     def test_negative_seed_is_named_before_any_file_is_read(self, tmp_path,
                                                             capsys):
         config = tmp_path / "run.cfg"
-        config.write_text("model_kind = bilstm-crf\nvalidation = v\n"
-                          f"embedding = random\ntrain = {tmp_path}/none.conll\n"
-                          f"model_out = {tmp_path}/never.model\nseed = -1\n")
-        assert run(["train", config]) == 1
-        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
-        assert list(tmp_path.iterdir()) == [config]
+        for line, named in (
+            ("seed = -1", "seed must be >= 0, got -1"),
+            ("embedding_dim = 0", "embedding_dim must be >= 1, got 0"),
+            ("oov_policy = bogus", "unknown oov_policy 'bogus'"),
+        ):
+            config.write_text("model_kind = bilstm-crf\nvalidation = v\n"
+                              f"embedding = random\ntrain = {tmp_path}/none.conll\n"
+                              f"model_out = {tmp_path}/never.model\n{line}\n")
+            assert run(["train", config]) == 1, line
+            assert capsys.readouterr().err == f"error: {named}\n"
+            assert list(tmp_path.iterdir()) == [config]
 
     def test_neural_requires_validation_and_embedding(self):
         with pytest.raises(CliError, match="validation"):

@@ -15,6 +15,7 @@ from toy import make_tagged, toy_corpus
 from raretag import chain, crf, features
 from raretag.chain import sequence_score
 from raretag.crf import CrfModel, TrainConfig, make_zero_model
+from raretag.encoding import Encoder
 from raretag.features import features_per_token, sentence_features
 from raretag.iob import TAGS, TaggedSentence, validate
 from raretag.metrics import entity_level
@@ -429,6 +430,19 @@ class TestTrain:
         assert result.iterations >= 1
         assert calls == [(i, result.trace[i])
                          for i in range(1, result.iterations + 1)]
+        # the train command's entry fits on both splits joined, passes the
+        # same calls on and counts them in its manifest metrics
+        encoder = Encoder(TAGS, attributes=True)
+        sentences = toy_corpus(seed=3, size=10)
+        train, validation = (encoder.encode((s.tokens, s.tags) for s in part)[0]
+                             for part in (sentences[:7], sentences[7:]))
+        entry_calls = []
+        _, metrics, files = crf.train_run(
+            train, validation, TrainConfig(max_iterations=5),
+            progress=lambda *step: entry_calls.append(step))
+        assert entry_calls == calls
+        assert metrics["iterations"] == len(entry_calls)
+        assert files == {}
 
     def test_zero_iterations_returns_zero_model(self):
         corpus = toy_corpus(seed=2, size=5)

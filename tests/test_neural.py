@@ -316,6 +316,20 @@ class TestFit:
         assert len(calls) == 3
         assert calls == list(zip(history.epochs, history.train_loss,
                                  history.val_loss))
+        # the train command's entry builds the same tagger from its options,
+        # passes the same calls on and counts them in its manifest metrics
+        encoder = Encoder(TAGS)
+        train, validation = (encoder.encode((s.tokens, s.tags) for s in part)[0]
+                             for part in (train_split, val_split))
+        entry_calls = []
+        _, metrics, files = neural.train_run(
+            train, validation, config,
+            progress=lambda *row: entry_calls.append(row),
+            options={"model_kind": "bilstm-crf", "embedding": "random",
+                     "embedding_dim": 4})
+        assert entry_calls == calls
+        assert metrics["stopped_epoch"] == len(entry_calls)
+        assert files == {"history_out": (".history.csv", history.to_csv())}
 
     @pytest.mark.parametrize("clip_norm, clipped", [(1e-6, 6), (1e6, 0)])
     def test_history_counts_clipped_batches(self, clip_norm, clipped,
